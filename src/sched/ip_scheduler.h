@@ -49,7 +49,7 @@ class IpScheduler : public Scheduler {
   // plan_sub_batch call of one batch run. Reusing the instance for another
   // batch without reset_run_stats() would report both batches' kernel work
   // as one — begin_batch() returns a typed error instead of letting that
-  // happen (the online service resets between batches).
+  // happen (the stream service resets before each run).
   Status begin_batch() override;
   void reset_run_stats() override;
 

@@ -1,10 +1,11 @@
 // Scheduler interface: the contract shared by the paper's four algorithms.
 //
-// The batch driver repeatedly asks the scheduler for the next sub-batch
-// plan over the still-pending tasks, executes it on the simulation engine,
-// and loops until the batch drains. Schedulers that do no sub-batch
-// selection (MinMin, JobDataPresent) simply plan all pending tasks at once
-// and rely on the engine's on-demand eviction.
+// The session loop (sched/driver.h) repeatedly asks the scheduler, through
+// its incremental planner, for the next sub-batch plan over the still-
+// pending tasks, executes it on the simulation engine, and loops until the
+// work drains. Schedulers that do no sub-batch selection (MinMin,
+// JobDataPresent) simply plan all pending tasks at once and rely on the
+// engine's on-demand eviction.
 #pragma once
 
 #include <string>
@@ -28,20 +29,10 @@ struct SchedulerContext {
   // The transfer-cost model every planner prices against — the engine's own
   // topology, so plans and simulation share one bandwidth arithmetic.
   const sim::Topology& topology;
-  // Warm start (online service): the cache snapshot the engine was seeded
-  // with before this batch, or null for a cold run. The seeded copies are
-  // already visible through engine.state() — PlannerState picks them up as
-  // replica holders, the IP formulation's coalesce_files() fixes their
-  // initial-placement terms — so most planners need nothing extra; the
-  // pointer lets a planner distinguish carried-in files from copies it
-  // staged itself (BiPartition's level-1 feasibility credit).
-  const sim::InitialCacheState* initial_cache = nullptr;
 
   SchedulerContext(const wl::Workload& w, const sim::ClusterConfig& c,
-                   const sim::ExecutionEngine& e,
-                   const sim::InitialCacheState* warm = nullptr)
-      : batch(w), cluster(c), engine(e), topology(e.topology()),
-        initial_cache(warm) {
+                   const sim::ExecutionEngine& e)
+      : batch(w), cluster(c), engine(e), topology(e.topology()) {
     refresh_alive();
   }
 
@@ -49,7 +40,7 @@ struct SchedulerContext {
   // sub-batches). Schedulers must place work on alive nodes only.
   bool node_alive(wl::NodeId n) const { return engine.node_alive(n); }
 
-  // Cached alive list: the driver refreshes it once per planning round
+  // Cached alive list: the session refreshes it once per planning round
   // (liveness only changes between rounds), so every scheduler sweep reads
   // one const view instead of rebuilding a vector per call.
   const std::vector<wl::NodeId>& alive_nodes() const { return alive_; }
@@ -70,13 +61,13 @@ class Scheduler {
 
   virtual std::string name() const = 0;
 
-  // Called by run_batch before the first planning round of a batch.
+  // Called by validate_run before the first planning round of a run.
   // Schedulers that accumulate per-run counters (the IP scheduler's solver
   // stats) must refuse to start a second batch while the previous run's
   // counters are still loaded: silently continuing would fold two batches'
   // numbers into one report. Returns a typed error on such reuse; callers
-  // running many batches through one scheduler instance (the online
-  // service loop) call reset_run_stats() between batches.
+  // running many batches through one scheduler instance (the stream
+  // service) call reset_run_stats() between runs.
   virtual Status begin_batch() { return OkStatus(); }
 
   // Clears every per-run accumulated counter so the instance can serve the

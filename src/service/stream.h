@@ -1,16 +1,17 @@
-// The streaming (rolling-horizon) service loop: batch arrivals without the
-// batch barrier.
+// The stream service: batch arrivals served by the session loop
+// (sched/driver.h) without a batch barrier.
 //
-// ServiceLoop (service/service.h) runs one batch at a time to completion —
-// an arrival waits for the whole batch ahead of it even when the executor
-// has idle capacity. StreamServiceLoop instead keeps ONE execution engine
-// alive across the run: admitted batches append their tasks to a growable
-// merged workload over the shared catalogue, an IncrementalPlanner
-// (sched/incremental.h) folds them into the live plan via extend()/repair(),
-// and commit_horizon() releases execution windows whose reservations are
-// floored at the admitting wall clock (SubBatchPlan::release_time). Batches
-// therefore overlap: a late arrival's tasks can start on idle nodes while
-// an earlier batch's tail still runs.
+// One Session — one execution engine, one incremental planner
+// (sched/incremental.h), one crash-recovery and replica-repair path — lives
+// for the whole run: admitted batches append their tasks to a growable
+// merged workload over the shared catalogue, the planner folds them into
+// the live plan via extend()/repair(), and each step executes one horizon
+// window whose reservations are floored at each batch's admission instant
+// (SubBatchPlan::release_time). Batches therefore overlap: a late arrival's
+// tasks can start on idle nodes while an earlier batch's tail still runs.
+// max_live_batches = 1 with a drain-all horizon is the batch barrier: each
+// batch runs to completion before the next is admitted, on the same engine,
+// so the copies a batch leaves on the compute disks serve the next one.
 //
 // Admission is SLO-aware: each BatchArrival carries an SloClass, the
 // deadline-aware AdmissionQueue orders by effective deadline with priority
@@ -35,6 +36,7 @@
 #include "service/arrival.h"
 #include "sim/cluster.h"
 #include "sim/engine.h"
+#include "sim/faults.h"
 #include "util/error.h"
 #include "workload/types.h"
 
@@ -45,14 +47,21 @@ struct StreamOptions {
   sched::HorizonOptions horizon;
   // Maximum batches concurrently in the live window (admitted but not yet
   // fully executed); 0 = unbounded. Arrivals beyond the bound wait in the
-  // admission queue.
+  // admission queue. 1 = the batch barrier.
   std::size_t max_live_batches = 0;
   // Replica lifecycle manager (src/replica): repair runs after every
   // committed window and in the quiescent gaps between admissions, on the
   // same engine timelines as foreground traffic. Off by default — the run
-  // stays bit-identical to the replication-free stream. Validated up
-  // front; an invalid config is a typed error from run().
+  // stays bit-identical to the replication-free stream.
   replica::ReplicaConfig replication;
+  // Fault injection and speculative task replication (sim/faults.h): tasks
+  // a compute-node crash orphans are re-planned on the surviving nodes
+  // through the same recovery path run_batch uses. The speculation budget
+  // (max_speculative_tasks) covers the whole run, not each batch. Off by
+  // default. These and `replication` are validated up front; an invalid
+  // config is a typed error from run().
+  sim::FaultConfig faults;
+  sim::SpeculationConfig speculation;
 };
 
 // One batch's stream service record. Exactly one of {completed, shed,
@@ -120,10 +129,11 @@ class StreamServiceLoop {
                     std::vector<wl::FileInfo> catalog,
                     StreamOptions options = {});
 
-  // Serves the arrival sequence to drain (arrivals must be sorted by time).
-  // Typed errors: invalid cluster, malformed BSIO_THREADS, catalogue
-  // mismatch, an infeasible task, or the engine rejecting a window.
-  // Rejected and shed batches are counted, not errors.
+  // Serves the arrival sequence to drain (arrivals must be sorted by time,
+  // with indices a permutation of 0..N-1). Typed errors: unsorted arrivals,
+  // missing or duplicate indices, catalogue mismatch, anything
+  // sched::validate_run rejects, every compute node crashing, or the engine
+  // rejecting a window. Rejected and shed batches are counted, not errors.
   Result<StreamResult> run(std::vector<BatchArrival> arrivals);
 
  private:

@@ -45,7 +45,6 @@ void ExecutionStats::accumulate(const ExecutionStats& o) {
   remote_bytes += o.remote_bytes;
   replica_bytes += o.replica_bytes;
   cache_hit_bytes += o.cache_hit_bytes;
-  warm_hit_bytes += o.warm_hit_bytes;
   transfer_retries = sat_add(transfer_retries, o.transfer_retries);
   task_reexecutions = sat_add(task_reexecutions, o.task_reexecutions);
   node_crashes = sat_add(node_crashes, o.node_crashes);
@@ -96,7 +95,6 @@ ExecutionEngine::ExecutionEngine(const ClusterConfig& cluster,
       home_valid_(workload.num_files(), 1),
       executed_(workload.num_tasks(), false),
       was_evicted_(workload.num_files(), false),
-      seeded_(workload.num_files(), false),
       completion_time_(workload.num_tasks(), 0.0),
       faults_(options.faults, cluster.num_compute_nodes,
               cluster.num_storage_nodes),
@@ -124,7 +122,7 @@ ExecutionEngine::ExecutionEngine(const ClusterConfig& cluster,
 Status ExecutionEngine::seed_cache(const InitialCacheState& seed) {
   if (started_)
     return Err("seed_cache: the engine has already executed a sub-batch; "
-               "warm state must be seeded before the first execute()");
+               "cache state must be seeded before the first execute()");
   // Validate the whole seed before mutating anything.
   std::vector<double> extra(cluster_.num_compute_nodes, 0.0);
   std::unordered_set<std::uint64_t> seen;
@@ -150,13 +148,11 @@ Status ExecutionEngine::seed_cache(const InitialCacheState& seed) {
     if (state_.used_bytes(e.node) + extra[e.node] >
         state_.capacity(e.node) + 1.0)
       return Err("seed_cache: seed overflows the disk of compute node " +
-                 std::to_string(e.node) +
-                 " (the cross-batch catalogue must evict before seeding)");
+                 std::to_string(e.node));
   }
   for (const CacheSeedEntry& e : seed.entries) {
     state_.restore(e.node, e.file, workload_.file_size(e.file), e.avail_time,
                    e.last_use);
-    seeded_[e.file] = true;
   }
   return OkStatus();
 }
@@ -392,7 +388,6 @@ Result<bool> ExecutionEngine::commit_task(const SubBatchPlan& plan,
     if (state_.has(node, f)) {
       ++stats.cache_hits;
       stats.cache_hit_bytes += workload_.file_size(f);
-      if (seeded_[f]) stats.warm_hit_bytes += workload_.file_size(f);
     } else {
       missing.push_back(f);
     }
@@ -749,7 +744,7 @@ Result<ExecutionStats> ExecutionEngine::execute(const SubBatchPlan& plan) {
                  std::to_string(it->second));
   }
 
-  started_ = true;  // warm seeding (seed_cache) is closed from here on
+  started_ = true;  // seeding (seed_cache) is closed from here on
   release_floor_ = plan.release_time;
   ExecutionStats stats;
 

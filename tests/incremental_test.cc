@@ -318,6 +318,41 @@ TEST(CommitHorizon, FreezeRuleAndEnsureProgress) {
   WsRuntime::set_global_threads(0);
 }
 
+// A faulty base scheduler: `repeat` names its first pending task twice;
+// otherwise it always plans task 0, which is no longer pending from the
+// second round on. The session's window checks must stop both.
+class FaultyScheduler : public sched::Scheduler {
+ public:
+  explicit FaultyScheduler(bool repeat) : repeat_(repeat) {}
+  std::string name() const override { return "faulty"; }
+  sim::SubBatchPlan plan_sub_batch(const std::vector<wl::TaskId>& pending,
+                                   const sched::SchedulerContext&) override {
+    sim::SubBatchPlan plan;
+    const wl::TaskId t = repeat_ ? pending.front() : 0;
+    plan.tasks = repeat_ ? std::vector<wl::TaskId>{t, t}
+                         : std::vector<wl::TaskId>{t};
+    plan.assignment[t] = 0;
+    return plan;
+  }
+
+ private:
+  bool repeat_;
+};
+
+TEST(SessionChecksDeathTest, WindowRepeatingATaskAborts) {
+  const wl::Workload w = gate_workload();
+  FaultyScheduler s(/*repeat=*/true);
+  EXPECT_DEATH(sched::run_batch(s, w, small_cluster(2, 2)),
+               "window repeats tasks");
+}
+
+TEST(SessionChecksDeathTest, WindowNamingACommittedTaskAborts) {
+  const wl::Workload w = gate_workload();
+  FaultyScheduler s(/*repeat=*/false);
+  EXPECT_DEATH(sched::run_batch(s, w, small_cluster(2, 2)),
+               "committed to an earlier window");
+}
+
 // --------------------------------------------------------- streaming loop
 
 std::vector<wl::FileInfo> stream_catalog(std::uint64_t seed = 7) {
@@ -416,6 +451,124 @@ TEST(StreamService, InfeasibleTaskIsTyped) {
   auto res = loop.run(std::move(arrivals));
   ASSERT_FALSE(res.ok());
   EXPECT_NE(res.error().message.find("Section 4.2"), std::string::npos);
+}
+
+// Two arrivals sharing an index would leave another index's record blank
+// and over-count one batch's completions; the input check rejects them.
+TEST(StreamService, DuplicateArrivalIndexIsTyped) {
+  const std::vector<wl::FileInfo> catalog = stream_catalog();
+  service::ServiceBatchConfig bcfg;
+  bcfg.tasks_per_batch = 3;
+  std::vector<service::BatchArrival> arrivals(2);
+  for (std::size_t i = 0; i < 2; ++i) {
+    arrivals[i].time = static_cast<double>(i);
+    arrivals[i].index = 0;
+    arrivals[i].batch = service::make_service_batch(catalog, bcfg, 1 + i);
+  }
+  sched::MinMinScheduler mm;
+  service::StreamServiceLoop loop(mm, small_cluster(2, 2), catalog, {});
+  auto res = loop.run(std::move(arrivals));
+  ASSERT_FALSE(res.ok());
+  EXPECT_NE(res.error().message.find("more than once"), std::string::npos);
+}
+
+// A batch with no tasks completes the moment it is admitted; otherwise it
+// would hold its live slot forever and, at the barrier, stall every later
+// arrival.
+TEST(StreamService, EmptyBatchCompletesOnAdmission) {
+  const std::vector<wl::FileInfo> catalog = stream_catalog();
+  service::ServiceBatchConfig bcfg;
+  bcfg.tasks_per_batch = 3;
+  std::vector<service::BatchArrival> arrivals(2);
+  arrivals[0].time = 1.0;
+  arrivals[0].index = 0;
+  arrivals[0].batch = wl::Workload({}, catalog);
+  arrivals[1].time = 2.0;
+  arrivals[1].index = 1;
+  arrivals[1].batch = service::make_service_batch(catalog, bcfg, 1);
+  sched::MinMinScheduler mm;
+  service::StreamOptions opts;
+  opts.max_live_batches = 1;
+  service::StreamServiceLoop loop(mm, small_cluster(2, 2), catalog, opts);
+  auto res = loop.run(std::move(arrivals));
+  ASSERT_TRUE(res.ok()) << res.error().message;
+  const service::StreamResult& s = res.value();
+  EXPECT_EQ(s.stats.batches_completed, 2u);
+  EXPECT_TRUE(s.batches[0].completed);
+  EXPECT_EQ(s.batches[0].response_time, 0.0);
+  EXPECT_TRUE(s.batches[1].completed);
+  EXPECT_EQ(s.stats.tasks_executed, 3u);
+}
+
+// A compute node fail-stops mid-run under overlapping batches: its killed
+// and queued tasks are re-planned on the survivors through the session's
+// recovery path, and repair restores replication factor 2 on them. The
+// windowed cases fail without the session's two stream-only crash rules:
+// - window 5 s, node 0 at 25 s: batches admitted at different instants
+//   share a window, and the later epoch holds tasks placed on node 0 when
+//   it crashes during the earlier epoch;
+// - wide catalogue, node 1 at 18 s: planned-but-uncommitted entries on
+//   node 1 share no file with the window that ran, so only the dead-node
+//   rule re-places them before the next commit.
+TEST(StreamService, SurvivesComputeCrashAtReplicationFactorTwo) {
+  struct Case {
+    std::size_t catalog_files, tasks_per_batch, files_per_task;
+    double zipf_s, rate;
+    std::uint64_t seed;
+    double window_seconds;
+    wl::NodeId node;
+    double crash_time;
+  };
+  const Case cases[] = {
+      {32, 6, 3, 1.0, 0.5, 5, 20.0, 0, 4.0},
+      {32, 6, 3, 1.0, 0.5, 12, 5.0, 0, 25.0},
+      {2000, 12, 4, 0.0, 0.2, 1, 5.0, 1, 18.0},
+  };
+  WsRuntime::set_global_threads(1);
+  for (const Case& k : cases) {
+    SCOPED_TRACE("crash of node " + std::to_string(k.node) + " at " +
+                 std::to_string(k.crash_time) + " s");
+    service::SharedCatalogConfig ccfg;
+    ccfg.num_files = k.catalog_files;
+    ccfg.mean_file_size_bytes = 25.0 * sim::kMB;
+    ccfg.file_size_jitter = 0.2;
+    ccfg.num_storage_nodes = 2;
+    ccfg.seed = 7;
+    const std::vector<wl::FileInfo> catalog =
+        service::make_shared_catalog(ccfg);
+    service::ServiceBatchConfig bcfg;
+    bcfg.tasks_per_batch = k.tasks_per_batch;
+    bcfg.files_per_task = k.files_per_task;
+    bcfg.zipf_s = k.zipf_s;
+    service::ArrivalConfig acfg;
+    acfg.rate = k.rate;
+    acfg.num_batches = 6;
+    acfg.seed = k.seed;
+    service::BatchArrivalProcess process(catalog, bcfg, acfg);
+    auto arrivals = process.generate();
+    ASSERT_TRUE(arrivals.ok()) << arrivals.error().message;
+
+    service::StreamOptions opts;
+    opts.horizon.window_seconds = k.window_seconds;
+    opts.replication.enabled = true;
+    opts.replication.tiers = {{0.0, 2}};
+    opts.faults.compute_crashes = {{k.node, k.crash_time}};
+    sched::MinMinScheduler mm;
+    service::StreamServiceLoop loop(mm, small_cluster(4, 2), catalog, opts);
+    auto res = loop.run(std::move(arrivals).value());
+    ASSERT_TRUE(res.ok()) << res.error().message;
+    const service::StreamStats& s = res.value().stats;
+
+    EXPECT_EQ(s.exec.node_crashes, 1u);
+    EXPECT_GT(s.exec.task_reexecutions, 0u);
+    EXPECT_GT(s.exec.replicas_created, 0u);
+    EXPECT_EQ(s.batches_completed, 6u);
+    EXPECT_EQ(s.tasks_executed, 6u * k.tasks_per_batch);
+    EXPECT_EQ(s.replica_deficit, 0u);
+    for (const service::StreamBatchMetrics& m : res.value().batches)
+      EXPECT_TRUE(m.completed);
+  }
+  WsRuntime::set_global_threads(0);
 }
 
 }  // namespace

@@ -1,62 +1,30 @@
-// Online service layer tests.
-//
-// Part 1 is the warm-start golden differential: for every scheduler, a
-// fresh engine seeded with the cache snapshot a previous batch left behind
-// must plan the next batch BIT-identically to the engine that actually ran
-// that previous batch (planners read residency only through ClusterState,
-// so a faithful snapshot is indistinguishable from history). Part 2 covers
-// the seeding plumbing end to end (run_batch's warm path vs a hand-driven
-// loop), the snapshot/rebase machinery, arrivals, admission, the service
-// loop's warm-vs-cold contract, and the scheduler stats-reuse guard.
+// Service layer tests: arrivals, admission, the stream service at the
+// batch barrier (max_live_batches = 1) against a cold run_batch per batch,
+// its backpressure and input checks, the engine's cache seeding, and the
+// scheduler stats-reuse guard.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <fstream>
-#include <memory>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
-#include "sched/bipartition.h"
 #include "sched/driver.h"
 #include "sched/ip_scheduler.h"
-#include "sched/job_data_present.h"
 #include "sched/minmin.h"
 #include "service/admission.h"
 #include "service/arrival.h"
 #include "service/catalog.h"
-#include "service/service.h"
+#include "service/stream.h"
 #include "sim/cluster.h"
 #include "sim/engine.h"
 #include "util/ws_runtime.h"
 
 namespace bsio {
 namespace {
-
-std::uint64_t plan_hash(const sim::SubBatchPlan& p) {
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  for (wl::TaskId t : p.tasks) {
-    mix(t);
-    mix(p.assignment.at(t));
-  }
-  for (const auto& [k, v] : p.staging) {
-    mix(k.first);
-    mix(k.second);
-    mix(static_cast<std::uint64_t>(v.kind));
-    mix(v.src_node);
-  }
-  for (const auto& [f, n] : p.prefetches) {
-    mix(f);
-    mix(n);
-  }
-  return h;
-}
 
 // One shared catalogue for every batch in a test (the service invariant:
 // stable file ids across batches).
@@ -90,26 +58,8 @@ sim::ClusterConfig test_cluster(double disk_capacity = sim::kUnlimited) {
   return c;
 }
 
-struct SchedulerFactory {
-  const char* name;
-  std::unique_ptr<sched::Scheduler> (*make)();
-};
-
-const SchedulerFactory kSchedulers[] = {
-    {"MinMin", [] { return std::unique_ptr<sched::Scheduler>(
-                        std::make_unique<sched::MinMinScheduler>()); }},
-    {"JobDataPresent",
-     [] { return std::unique_ptr<sched::Scheduler>(
-              std::make_unique<sched::JobDataPresentScheduler>()); }},
-    {"BiPartition",
-     [] { return std::unique_ptr<sched::Scheduler>(
-              std::make_unique<sched::BiPartitionScheduler>()); }},
-    {"IP", [] { return std::unique_ptr<sched::Scheduler>(
-                    std::make_unique<sched::IpScheduler>()); }},
-};
-
-// Drives `pending` to completion on `eng` with `s` (the run_batch core
-// without its bookkeeping), so tests can interleave captures.
+// Drives `pending` to completion on `eng` with `s`, straight through
+// Scheduler::plan_sub_batch and ExecutionEngine::execute.
 void drain(sched::Scheduler& s, sim::ExecutionEngine& eng,
            const wl::Workload& w, const sim::ClusterConfig& c,
            std::vector<wl::TaskId> pending) {
@@ -124,166 +74,7 @@ void drain(sched::Scheduler& s, sim::ExecutionEngine& eng,
   }
 }
 
-// ------------------------------------------- warm-start golden differential
-
-// Builds the two views of one history: W_merged holds batch B's tasks at
-// ids [0, nB) and batch A's tasks appended after (the Workload constructor
-// renumbers positionally), W_b holds batch B alone at the same ids. Running
-// A to completion on a W_merged engine and snapshotting its caches gives a
-// seed; a fresh W_b engine restored from that seed must plan B identically.
-struct DifferentialFixture {
-  std::vector<wl::FileInfo> catalog = test_catalog();
-  wl::Workload merged;
-  wl::Workload batch_only;
-  std::vector<wl::TaskId> pending_a;  // A's ids within `merged`
-  std::vector<wl::TaskId> pending_b;  // B's ids in both workloads
-
-  DifferentialFixture() {
-    const wl::Workload a =
-        service::make_service_batch(catalog, test_batch_cfg(8), 21);
-    const wl::Workload b =
-        service::make_service_batch(catalog, test_batch_cfg(10), 22);
-    std::vector<wl::TaskInfo> tasks(b.tasks());
-    tasks.insert(tasks.end(), a.tasks().begin(), a.tasks().end());
-    merged = wl::Workload(std::move(tasks), catalog);
-    batch_only = wl::Workload(b.tasks(), catalog);
-    for (std::size_t t = 0; t < b.num_tasks(); ++t)
-      pending_b.push_back(static_cast<wl::TaskId>(t));
-    for (std::size_t t = b.num_tasks(); t < merged.num_tasks(); ++t)
-      pending_a.push_back(static_cast<wl::TaskId>(t));
-  }
-};
-
-void expect_first_plan_identity(const sim::ClusterConfig& c) {
-  WsRuntime::set_global_threads(1);
-  DifferentialFixture fx;
-  for (const auto& spec : kSchedulers) {
-    SCOPED_TRACE(spec.name);
-    // History: run batch A on the merged engine, snapshot its caches.
-    auto sched_a = spec.make();
-    sim::ExecutionEngine merged_eng(
-        c, fx.merged, {sched_a->eviction_policy(), false, {}, {}});
-    drain(*sched_a, merged_eng, fx.merged, c, fx.pending_a);
-    const sim::InitialCacheState seed =
-        sim::InitialCacheState::capture(merged_eng.state());
-    ASSERT_FALSE(seed.empty());
-
-    // Continuation: plan B on the engine that lived through A.
-    auto sched_m = spec.make();
-    sched::SchedulerContext ctx_m(fx.merged, c, merged_eng, &seed);
-    const std::uint64_t continued =
-        plan_hash(sched_m->plan_sub_batch(fx.pending_b, ctx_m));
-
-    // Warm start: plan B on a fresh engine restored from the snapshot.
-    auto sched_w = spec.make();
-    sim::ExecutionEngine warm_eng(c, fx.batch_only,
-                                  {sched_w->eviction_policy(), false, {}, {}});
-    ASSERT_TRUE(warm_eng.seed_cache(seed).ok());
-    sched::SchedulerContext ctx_w(fx.batch_only, c, warm_eng, &seed);
-    const std::uint64_t warm =
-        plan_hash(sched_w->plan_sub_batch(fx.pending_b, ctx_w));
-
-    EXPECT_EQ(continued, warm);
-  }
-}
-
-TEST(WarmStartDifferential, FirstPlanBitIdenticalUnlimitedDisk) {
-  expect_first_plan_identity(test_cluster());
-}
-
-TEST(WarmStartDifferential, FirstPlanBitIdenticalLimitedDisk) {
-  expect_first_plan_identity(test_cluster(600.0 * sim::kMB));
-}
-
-// run_batch's warm path must be exactly "seed, then the ordinary loop": a
-// hand-driven seeded loop reproduces its makespan and counters bit for bit.
-TEST(WarmStartDifferential, RunBatchSeedMatchesManualLoop) {
-  WsRuntime::set_global_threads(1);
-  const sim::ClusterConfig c = test_cluster(600.0 * sim::kMB);
-  const std::vector<wl::FileInfo> catalog = test_catalog();
-  const wl::Workload a =
-      service::make_service_batch(catalog, test_batch_cfg(8), 31);
-  const wl::Workload b =
-      service::make_service_batch(catalog, test_batch_cfg(10), 32);
-
-  for (const auto& spec : kSchedulers) {
-    SCOPED_TRACE(spec.name);
-    auto sched_a = spec.make();
-    sched::BatchRunOptions cap;
-    cap.capture_final_cache = true;
-    const sched::BatchRunResult ra = sched::run_batch(*sched_a, a, c, cap);
-    ASSERT_TRUE(ra.ok()) << ra.error;
-    ASSERT_FALSE(ra.final_cache.empty());
-
-    sched::BatchRunOptions warm;
-    warm.initial_cache = &ra.final_cache;
-    auto sched_b = spec.make();
-    const sched::BatchRunResult rb = sched::run_batch(*sched_b, b, c, warm);
-    ASSERT_TRUE(rb.ok()) << rb.error;
-
-    auto sched_manual = spec.make();
-    sim::ExecutionEngine eng(
-        c, b, {sched_manual->eviction_policy(), false, {}, {}});
-    ASSERT_TRUE(eng.seed_cache(ra.final_cache).ok());
-    std::vector<wl::TaskId> pending;
-    for (const auto& t : b.tasks()) pending.push_back(t.id);
-    drain(*sched_manual, eng, b, c, pending);
-
-    EXPECT_EQ(rb.batch_time, eng.makespan());
-    EXPECT_EQ(rb.stats.remote_transfers, eng.totals().remote_transfers);
-    EXPECT_EQ(rb.stats.cache_hits, eng.totals().cache_hits);
-    EXPECT_EQ(rb.stats.warm_hit_bytes, eng.totals().warm_hit_bytes);
-    EXPECT_GT(rb.stats.warm_hit_bytes, 0.0);  // shared hot files pay off
-  }
-}
-
-// ---------------------------------------------------- snapshot machinery
-
-TEST(InitialCacheState, CaptureSeedRoundTrips) {
-  const std::vector<wl::FileInfo> catalog = test_catalog();
-  const wl::Workload w =
-      service::make_service_batch(catalog, test_batch_cfg(8), 41);
-  const sim::ClusterConfig c = test_cluster();
-  sched::MinMinScheduler mm;
-  sched::BatchRunOptions cap;
-  cap.capture_final_cache = true;
-  const auto r = sched::run_batch(mm, w, c, cap);
-  ASSERT_TRUE(r.ok());
-  const sim::InitialCacheState& seed = r.final_cache;
-  ASSERT_FALSE(seed.empty());
-  for (std::size_t i = 1; i < seed.entries.size(); ++i) {
-    const auto& p = seed.entries[i - 1];
-    const auto& q = seed.entries[i];
-    EXPECT_TRUE(p.node < q.node || (p.node == q.node && p.file < q.file));
-  }
-
-  sim::ExecutionEngine eng(c, w);
-  ASSERT_TRUE(eng.seed_cache(seed).ok());
-  const sim::InitialCacheState again =
-      sim::InitialCacheState::capture(eng.state());
-  ASSERT_EQ(again.entries.size(), seed.entries.size());
-  for (std::size_t i = 0; i < seed.entries.size(); ++i) {
-    EXPECT_EQ(again.entries[i].node, seed.entries[i].node);
-    EXPECT_EQ(again.entries[i].file, seed.entries[i].file);
-    EXPECT_EQ(again.entries[i].avail_time, seed.entries[i].avail_time);
-    EXPECT_EQ(again.entries[i].last_use, seed.entries[i].last_use);
-  }
-}
-
-TEST(InitialCacheState, RebasedShiftsStampsPreservingOrder) {
-  sim::InitialCacheState s;
-  s.entries = {{0, 1, 12.0, 20.0}, {0, 2, 5.0, 7.0}, {1, 1, 3.0, 15.0}};
-  const sim::InitialCacheState r = s.rebased();
-  ASSERT_EQ(r.entries.size(), 3u);
-  for (const auto& e : r.entries) {
-    EXPECT_EQ(e.avail_time, 0.0);
-    EXPECT_LE(e.last_use, 0.0);
-  }
-  // 20 was youngest -> stays largest after the shift.
-  EXPECT_GT(r.entries[0].last_use, r.entries[1].last_use);
-  EXPECT_GT(r.entries[2].last_use, r.entries[1].last_use);
-  EXPECT_EQ(r.entries[0].last_use, 0.0);
-}
+// ------------------------------------------------------------ cache seeding
 
 TEST(SeedCache, RejectsMalformedSeeds) {
   const std::vector<wl::FileInfo> catalog = test_catalog();
@@ -659,74 +450,12 @@ TEST(Admission, SjfPricesOnceAtOfferTimeOnly) {
   EXPECT_EQ(dq.pricing_calls(), 0u);
 }
 
-// ---------------------------------------------------- cross-batch catalog
-
-TEST(CrossBatchCatalog, AccumulatesPopularityAndRebasesSeeds) {
-  const std::vector<wl::FileInfo> catalog = test_catalog();
-  const sim::ClusterConfig c = test_cluster(600.0 * sim::kMB);
-  service::CrossBatchCatalog cbc(catalog.size(), c);
-  EXPECT_TRUE(cbc.seed_for_next().empty());
-
-  const wl::Workload w =
-      service::make_service_batch(catalog, test_batch_cfg(8), 51);
-  sched::MinMinScheduler mm;
-  sched::BatchRunOptions cap;
-  cap.capture_final_cache = true;
-  const auto r = sched::run_batch(mm, w, c, cap);
-  ASSERT_TRUE(r.ok());
-
-  cbc.fold_batch(w, r.final_cache, /*batch_start=*/100.0);
-  EXPECT_EQ(cbc.batches_folded(), 1u);
-  double requests = 0.0;
-  for (wl::FileId f = 0; f < catalog.size(); ++f) requests += cbc.popularity(f);
-  EXPECT_EQ(requests, 8.0 * 3.0);  // tasks * files_per_task
-
-  const sim::InitialCacheState seed = cbc.seed_for_next();
-  ASSERT_EQ(seed.entries.size(), r.final_cache.entries.size());
-  for (const auto& e : seed.entries) {
-    EXPECT_EQ(e.avail_time, 0.0);
-    EXPECT_LE(e.last_use, 0.0);
-  }
-  // Replica map agrees with the snapshot.
-  const wl::FileId f0 = seed.entries.front().file;
-  EXPECT_FALSE(cbc.replica_nodes(f0).empty());
-  EXPECT_GT(cbc.carried_bytes(), 0.0);
-
-  // Folding a second batch doubles nothing away: popularity accumulates.
-  cbc.fold_batch(w, r.final_cache, /*batch_start=*/200.0);
-  double requests2 = 0.0;
-  for (wl::FileId f = 0; f < catalog.size(); ++f)
-    requests2 += cbc.popularity(f);
-  EXPECT_EQ(requests2, 2.0 * requests);
-}
-
-TEST(CrossBatchCatalog, CarryFractionEvictsBetweenBatches) {
-  const std::vector<wl::FileInfo> catalog = test_catalog();
-  const sim::ClusterConfig c = test_cluster(600.0 * sim::kMB);
-  const wl::Workload w =
-      service::make_service_batch(catalog, test_batch_cfg(8), 51);
-  sched::MinMinScheduler mm;
-  sched::BatchRunOptions cap;
-  cap.capture_final_cache = true;
-  const auto r = sched::run_batch(mm, w, c, cap);
-  ASSERT_TRUE(r.ok());
-
-  service::CrossBatchCatalog full(catalog.size(), c, {});
-  full.fold_batch(w, r.final_cache, 0.0);
-
-  service::CrossBatchOptions half_opt;
-  half_opt.carry_fraction = 0.5;
-  service::CrossBatchCatalog half(catalog.size(), c, half_opt);
-  half.fold_batch(w, r.final_cache, 0.0);
-
-  EXPECT_EQ(full.evicted_bytes(), 0.0);
-  EXPECT_GT(half.evicted_bytes(), 0.0);
-  EXPECT_LT(half.carried_bytes(), full.carried_bytes());
-  EXPECT_LE(half.carried_bytes(), 0.5 * full.carried_bytes() + 1.0);
-}
-
 // ------------------------------------------------------------ service loop
 
+// The barrier (one live batch) on the stream service's one engine, against
+// the cold ablation: every batch run by a fresh run_batch, back to back on
+// the same service clock. Copies a batch leaves on the compute disks serve
+// the next one, so the barrier must beat cold on response and remote bytes.
 TEST(ServiceLoop, WarmBeatsColdAndIsDeterministic) {
   WsRuntime::set_global_threads(1);
   const std::vector<wl::FileInfo> catalog = test_catalog();
@@ -737,40 +466,46 @@ TEST(ServiceLoop, WarmBeatsColdAndIsDeterministic) {
   acfg.seed = 13;
   service::BatchArrivalProcess arrivals(catalog, test_batch_cfg(8), acfg);
 
-  auto run_once = [&](bool warm) {
+  auto run_barrier = [&] {
     auto gen = arrivals.generate();
     EXPECT_TRUE(gen.ok());
     sched::MinMinScheduler mm;
-    service::ServiceOptions opt;
-    opt.warm_start = warm;
-    service::ServiceLoop loop(mm, c, catalog.size(), opt);
+    service::StreamOptions opt;
+    opt.max_live_batches = 1;
+    service::StreamServiceLoop loop(mm, c, catalog, opt);
     auto r = loop.run(std::move(gen).value());
-    EXPECT_TRUE(r.ok());
+    EXPECT_TRUE(r.ok()) << r.error().message;
     return std::move(r).value();
   };
+  const service::StreamResult warm = run_barrier();
+  const service::StreamResult warm2 = run_barrier();
 
-  const service::ServiceResult cold = run_once(false);
-  const service::ServiceResult warm = run_once(true);
-  const service::ServiceResult warm2 = run_once(true);
-
-  ASSERT_EQ(cold.stats.batches_served, 3u);
-  ASSERT_EQ(warm.stats.batches_served, 3u);
-  EXPECT_EQ(cold.stats.cross_batch_hit_bytes, 0.0);
-  EXPECT_GT(warm.stats.cross_batch_hit_bytes, 0.0);
-  EXPECT_LT(warm.stats.mean_response_time, cold.stats.mean_response_time);
-  // The first batch has no history: its metrics match the cold run.
-  EXPECT_EQ(warm.batches[0].makespan, cold.batches[0].makespan);
-  EXPECT_EQ(warm.batches[0].cross_batch_hit_bytes, 0.0);
-  EXPECT_GT(warm.batches[1].cross_batch_hit_bytes, 0.0);
-  // Bit-determinism across runs.
-  EXPECT_EQ(warm.stats.mean_response_time, warm2.stats.mean_response_time);
-  EXPECT_EQ(warm.stats.cross_batch_hit_bytes,
-            warm2.stats.cross_batch_hit_bytes);
-  // Response = wait + makespan, aggregated consistently.
-  for (const auto& b : warm.batches) {
-    EXPECT_EQ(b.response_time, b.queue_wait + b.makespan);
-    EXPECT_GE(b.start_time, b.arrival_time);
+  auto gen = arrivals.generate();
+  ASSERT_TRUE(gen.ok());
+  double clock = 0.0, cold_response = 0.0, cold_remote = 0.0;
+  std::vector<double> cold_responses;
+  for (const service::BatchArrival& a : gen.value()) {
+    sched::MinMinScheduler mm;
+    const sched::BatchRunResult r = sched::run_batch(mm, a.batch, c);
+    ASSERT_TRUE(r.ok()) << r.error;
+    clock = std::max(clock, a.time) + r.batch_time;
+    cold_responses.push_back(clock - a.time);
+    cold_response += clock - a.time;
+    cold_remote += r.stats.remote_bytes;
   }
+  cold_response /= static_cast<double>(cold_responses.size());
+
+  ASSERT_EQ(warm.stats.batches_completed, 3u);
+  EXPECT_LT(warm.stats.mean_response, cold_response);
+  EXPECT_LT(warm.stats.exec.remote_bytes, cold_remote);
+  // The first batch has no history: it matches its cold run.
+  EXPECT_NEAR(warm.batches[0].response_time, cold_responses[0], 1e-9);
+  // The barrier: a batch is admitted only once the previous one completed.
+  for (std::size_t i = 1; i < warm.batches.size(); ++i)
+    EXPECT_GE(warm.batches[i].admit_time, warm.batches[i - 1].completion_time);
+  // Bit-determinism across runs.
+  EXPECT_EQ(warm.stats.mean_response, warm2.stats.mean_response);
+  EXPECT_EQ(warm.stats.exec.remote_bytes, warm2.stats.exec.remote_bytes);
 }
 
 TEST(ServiceLoop, BackpressureCountsRejections) {
@@ -782,15 +517,17 @@ TEST(ServiceLoop, BackpressureCountsRejections) {
   for (std::size_t i = 0; i < 4; ++i)
     arrivals.push_back(arrival_of(catalog, 6, i, 0.0));
   sched::MinMinScheduler mm;
-  service::ServiceOptions opt;
+  service::StreamOptions opt;
   opt.admission.max_queue_depth = 1;
-  service::ServiceLoop loop(mm, c, catalog.size(), opt);
+  opt.max_live_batches = 1;
+  service::StreamServiceLoop loop(mm, c, catalog, opt);
   auto r = loop.run(std::move(arrivals));
-  ASSERT_TRUE(r.ok());
-  EXPECT_GT(r.value().stats.rejected_batches, 0u);
-  EXPECT_EQ(r.value().stats.batches_served +
-                r.value().stats.rejected_batches,
-            4u);
+  ASSERT_TRUE(r.ok()) << r.error().message;
+  const service::StreamStats& s = r.value().stats;
+  EXPECT_GT(s.rejected_batches, 0u);
+  EXPECT_EQ(s.batches_completed + s.rejected_batches, 4u);
+  for (const service::StreamBatchMetrics& b : r.value().batches)
+    EXPECT_EQ(b.completed + b.rejected, 1);
 }
 
 TEST(ServiceLoop, RejectsUnsortedArrivals) {
@@ -799,8 +536,10 @@ TEST(ServiceLoop, RejectsUnsortedArrivals) {
   arrivals.push_back(arrival_of(catalog, 4, 0, 5.0));
   arrivals.push_back(arrival_of(catalog, 4, 1, 1.0));
   sched::MinMinScheduler mm;
-  service::ServiceLoop loop(mm, test_cluster(), catalog.size(), {});
-  EXPECT_FALSE(loop.run(std::move(arrivals)).ok());
+  service::StreamServiceLoop loop(mm, test_cluster(), catalog, {});
+  auto r = loop.run(std::move(arrivals));
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.error().message.find("sorted"), std::string::npos);
 }
 
 // ------------------------------------------------------- stats-reuse guard
@@ -834,12 +573,12 @@ TEST(StatsReuseGuard, ExecutionStatsResetClearsEverything) {
   sim::ExecutionStats s;
   s.tasks_executed = 3;
   s.remote_bytes = 1.0;
-  s.warm_hit_bytes = 2.0;
+  s.cache_hit_bytes = 2.0;
   s.lp_pivots = 7;
   s.reset();
   EXPECT_EQ(s.tasks_executed, 0u);
   EXPECT_EQ(s.remote_bytes, 0.0);
-  EXPECT_EQ(s.warm_hit_bytes, 0.0);
+  EXPECT_EQ(s.cache_hit_bytes, 0.0);
   EXPECT_EQ(s.lp_pivots, 0);
 }
 

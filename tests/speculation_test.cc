@@ -9,11 +9,13 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/batch_scheduler.h"
 #include "sched/driver.h"
 #include "sched/minmin.h"
-#include "service/service.h"
+#include "service/stream.h"
 #include "sim/engine.h"
 #include "sim/faults.h"
 #include "util/stats.h"
@@ -398,39 +400,40 @@ TEST(Speculation, ImprovesTailLatencyUnderDegradedNode) {
   EXPECT_EQ(spec.stats.tasks_executed, w.num_tasks());
 }
 
-// --- Online service budget. ---
+// --- Stream service budget. ---
 
-TEST(Speculation, ServiceBudgetFractionBoundsSpeculation) {
+// The stream service runs every batch on one engine, so
+// max_speculative_tasks bounds duplicate launches over the whole run.
+TEST(Speculation, StreamBudgetBoundsSpeculation) {
   const wl::Workload w = disjoint_workload(4, 1.0);
   const sim::ClusterConfig c = spec_cluster(2, 2);
-  service::ServiceOptions options;
+  service::StreamOptions options;
   options.faults.compute_slowdowns = {{0, 0.0, kInf, 10.0}};
   options.speculation.enabled = true;
   options.speculation.straggler_ratio = 1.5;
   options.speculation.min_cached_inputs = 0;
 
-  auto arrivals = [&] {
+  auto run = [&] {
     std::vector<service::BatchArrival> a(2);
     a[0] = {0.0, 0, {}, w};
     a[1] = {0.0, 1, {}, w};
-    return a;
+    sched::MinMinScheduler s;
+    service::StreamServiceLoop loop(s, c, w.files(), options);
+    auto r = loop.run(std::move(a));
+    EXPECT_TRUE(r.ok()) << r.error().message;
+    return std::move(r).value().stats;
   };
 
-  options.speculation_budget_fraction = 1.0;
-  sched::MinMinScheduler s1;
-  service::ServiceLoop generous(s1, c, w.num_files(), options);
-  const auto with_budget = generous.run(arrivals());
-  ASSERT_TRUE(with_budget.ok()) << with_budget.error().message;
-  EXPECT_GT(with_budget.value().stats.speculative_launches, 0u);
+  const service::StreamStats unbounded = run();
+  EXPECT_GT(unbounded.exec.speculative_launches, 0u);
+  EXPECT_EQ(unbounded.batches_completed, 2u);
 
-  options.speculation_budget_fraction = 0.0;
-  sched::MinMinScheduler s2;
-  service::ServiceLoop starved(s2, c, w.num_files(), options);
-  const auto no_budget = starved.run(arrivals());
-  ASSERT_TRUE(no_budget.ok()) << no_budget.error().message;
-  EXPECT_EQ(no_budget.value().stats.speculative_launches, 0u);
+  options.speculation.max_speculative_tasks = 0;
+  const service::StreamStats starved = run();
+  EXPECT_EQ(starved.exec.speculative_launches, 0u);
   // Starving the duplicate budget cannot lose work.
-  EXPECT_EQ(no_budget.value().stats.batches_served, 2u);
+  EXPECT_EQ(starved.batches_completed, 2u);
+  EXPECT_EQ(starved.tasks_executed, 2 * w.num_tasks());
 }
 
 }  // namespace

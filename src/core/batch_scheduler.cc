@@ -47,7 +47,7 @@ std::unique_ptr<sched::Scheduler> make_scheduler(Algorithm algorithm,
     case Algorithm::kMinMin:
       return std::make_unique<sched::MinMinScheduler>();
     case Algorithm::kJobDataPresent:
-      return std::make_unique<sched::JobDataPresentScheduler>(options.jdp);
+      return std::make_unique<sched::JobDataPresentScheduler>();
     case Algorithm::kSufferage:
       return std::make_unique<sched::SufferageScheduler>();
     case Algorithm::kMaxMin:

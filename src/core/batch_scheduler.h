@@ -47,7 +47,6 @@ std::vector<Algorithm> extended_algorithms();
 struct RunOptions {
   sched::IpSchedulerOptions ip = sched::IpScheduler::default_options();
   sched::BiPartitionOptions bipartition;
-  sched::JdpOptions jdp;
   // Fault injection (sim/faults.h); the default injects nothing. With
   // faults the driver re-schedules crash-orphaned tasks on surviving nodes
   // and BatchRunResult::error reports unrecoverable runs.

@@ -41,11 +41,10 @@ struct HorizonOptions {
   // Freeze live tasks whose estimated start falls within this many seconds
   // of the window base. <= 0 = drain-all: freeze the entire live plan (the
   // quiescent mode, equivalent to the batch driver's round loop).
-  double window_seconds = 0.0;
-  // A non-empty live plan must always release at least one task per commit
+  // A non-empty live plan always releases at least one task per commit
   // (the earliest estimated start), or a window shorter than every estimate
   // would stall the service.
-  bool ensure_progress = true;
+  double window_seconds = 0.0;
 };
 
 // One uncommitted live-plan entry. est_start is the planner-relative

@@ -1,6 +1,7 @@
 #include "service/stream.h"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <utility>
 
@@ -21,13 +22,17 @@ StreamServiceLoop::StreamServiceLoop(sched::Scheduler& scheduler,
 
 Result<StreamResult> StreamServiceLoop::run(
     std::vector<BatchArrival> arrivals) {
-  // The arrival sequence itself: sorted, indices a permutation of 0..N-1
-  // (each arrival owns exactly one result record), and every batch built
-  // over exactly the shared catalogue — the merged workload fixes files up
-  // front and only grows tasks.
+  // The arrival sequence itself: finite non-negative times (the clock starts
+  // at 0, and a NaN time would never be offered), sorted, indices a
+  // permutation of 0..N-1 (each arrival owns exactly one result record),
+  // and every batch built over exactly the shared catalogue — the merged
+  // workload fixes files up front and only grows tasks.
   std::vector<char> seen(arrivals.size(), 0);
   for (std::size_t i = 0; i < arrivals.size(); ++i) {
     const BatchArrival& a = arrivals[i];
+    if (!std::isfinite(a.time) || a.time < 0.0)
+      return Err("arrival time must be finite and >= 0, got " +
+                 std::to_string(a.time));
     if (i > 0 && a.time < arrivals[i - 1].time)
       return Err("arrival sequence must be sorted by time");
     if (a.index >= arrivals.size())

@@ -7,15 +7,17 @@
 // including the limited-disk two-round presets), at 1, 2 and 8 planning
 // threads. Part 2 unit-tests the planner mechanics: delta-extend leaving
 // the earlier wave untouched, the BiPartition footprint gate, the
-// commit_horizon freeze rule and its ensure_progress escape, and the
-// dirty-set derivation. Part 3 exercises the streaming loop proper:
+// commit_horizon freeze rule and its release-at-least-one progress rule,
+// and the dirty-set derivation. Part 3 exercises the streaming loop proper:
 // overlapping batches, SLO accounting, and the typed error surface.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sched/bipartition.h"
@@ -297,16 +299,12 @@ TEST(CommitHorizon, FreezeRuleAndEnsureProgress) {
   EXPECT_EQ(p1.tasks[0], 0u);
   EXPECT_EQ(planner->live().size(), 2u);
 
-  // The survivors start past the window; ensure_progress still releases
+  // The survivors start past the window; the progress rule still releases
   // the earliest one.
   sim::SubBatchPlan p2 = planner->commit_horizon(h);
   ASSERT_EQ(p2.tasks.size(), 1u);
   EXPECT_EQ(p2.tasks[0], 1u);
 
-  // Without the escape the same commit releases nothing.
-  h.ensure_progress = false;
-  sim::SubBatchPlan p3 = planner->commit_horizon(h);
-  EXPECT_TRUE(p3.empty());
   EXPECT_EQ(planner->live().size(), 1u);
 
   // Drain-all freezes whatever remains.
@@ -470,6 +468,35 @@ TEST(StreamService, DuplicateArrivalIndexIsTyped) {
   auto res = loop.run(std::move(arrivals));
   ASSERT_FALSE(res.ok());
   EXPECT_NE(res.error().message.find("more than once"), std::string::npos);
+}
+
+// A NaN arrival time compares false both ways, so it would pass the sort
+// check and then never be offered — the loop would spin forever. +inf
+// would report a NaN response, and a negative time would backdate the
+// batch before the clock's origin. All three are typed input errors.
+TEST(StreamService, RejectsNonFiniteArrivalTimes) {
+  const std::vector<wl::FileInfo> catalog = stream_catalog();
+  service::ServiceBatchConfig bcfg;
+  bcfg.tasks_per_batch = 3;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // Each pair is sorted as far as `<` can tell.
+  for (const auto& [t0, t1] : std::vector<std::pair<double, double>>{
+           {0.0, nan}, {nan, 1.0}, {0.0, inf}, {-1.0, 0.0}}) {
+    std::vector<service::BatchArrival> arrivals(2);
+    arrivals[0].time = t0;
+    arrivals[1].time = t1;
+    for (std::size_t i = 0; i < 2; ++i) {
+      arrivals[i].index = i;
+      arrivals[i].batch = service::make_service_batch(catalog, bcfg, 1 + i);
+    }
+    sched::MinMinScheduler mm;
+    service::StreamServiceLoop loop(mm, small_cluster(2, 2), catalog, {});
+    auto res = loop.run(std::move(arrivals));
+    ASSERT_FALSE(res.ok()) << t0 << ", " << t1;
+    EXPECT_NE(res.error().message.find("finite and >= 0"), std::string::npos)
+        << res.error().message;
+  }
 }
 
 // A batch with no tasks completes the moment it is admitted; otherwise it

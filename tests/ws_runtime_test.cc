@@ -1,53 +1,45 @@
 // Tests for the work-stealing runtime: coverage under adversarial steal
-// schedules, randomized nested task graphs, deterministic reduction,
-// BSIO_THREADS parsing, and the deterministic parallel-wave branch and
-// bound riding on the shared runtime.
+// schedules, randomly nested parallel_for trees, and BSIO_THREADS parsing.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
-#include "ip/branch_and_bound.h"
-#include "lp/model.h"
 #include "util/rng.h"
 #include "util/ws_runtime.h"
 
 namespace bsio {
 namespace {
 
-// ----------------------------------------------------------- task graphs
+// ------------------------------------------------------- nested loops
 
-// A job that fans out into a nested TaskGroup of its own until its depth
-// is spent; every execution bumps the shared counter once.
-struct StressCtx {
-  WsRuntime* rt = nullptr;
-  std::atomic<long>* count = nullptr;
-  int depth = 0;
-  int fanout = 0;
+// One node of a random loop tree: it records itself, then fans out through
+// a nested parallel_for whose width is drawn from its own seed. The shape
+// is a pure function of the root seed, whichever worker runs a node, so a
+// run on `rt` must visit exactly the nodes the sequential walk
+// (rt == nullptr) visits: equal counts and equal seed checksums.
+struct TreeTally {
+  std::atomic<long> nodes{0};
+  std::atomic<std::uint64_t> checksum{0};
 };
 
-void stress_job(void* p, std::size_t /*index*/) {
-  auto* c = static_cast<StressCtx*>(p);
-  c->count->fetch_add(1, std::memory_order_relaxed);
-  if (c->depth == 0) return;
-  StressCtx child{c->rt, c->count, c->depth - 1, c->fanout};
-  WsRuntime::TaskGroup g(*c->rt);
-  for (int i = 0; i < c->fanout; ++i)
-    g.spawn(&stress_job, &child, static_cast<std::size_t>(i));
-  // ~TaskGroup waits, so `child` outlives every spawned job.
-}
-
-// Total executions of a (roots x depth x fanout) stress graph: every job
-// runs once, each non-leaf spawns `fanout` children.
-long expected_jobs(int roots, int depth, int fanout) {
-  long per_root = 0, level = 1;
-  for (int d = 0; d <= depth; ++d) {
-    per_root += level;
-    level *= fanout;
+void visit_tree(WsRuntime* rt, std::uint64_t seed, int depth,
+                TreeTally& tally) {
+  tally.nodes.fetch_add(1, std::memory_order_relaxed);
+  tally.checksum.fetch_add(seed, std::memory_order_relaxed);
+  if (depth == 0) return;
+  const std::size_t fanout = hash_mix(seed) % 6;  // 0..5 children
+  auto child = [&](std::size_t i) {
+    visit_tree(rt, hash_mix(seed + 1 + i), depth - 1, tally);
+  };
+  if (rt == nullptr) {
+    for (std::size_t i = 0; i < fanout; ++i) child(i);
+  } else {
+    rt->parallel_for_each(fanout, child);
   }
-  return roots * per_root;
 }
 
 TEST(WsRuntimeStress, RandomizedNestedTaskGraphs) {
@@ -58,17 +50,19 @@ TEST(WsRuntimeStress, RandomizedNestedTaskGraphs) {
       o.force_steal = force_steal;
       WsRuntime rt(threads, o);
       for (int round = 0; round < 8; ++round) {
-        const int roots = 1 + static_cast<int>(rng.uniform(8));
-        const int depth = static_cast<int>(rng.uniform(4));
-        const int fanout = 2 + static_cast<int>(rng.uniform(3));
-        std::atomic<long> count{0};
-        StressCtx root{&rt, &count, depth, fanout};
-        {
-          WsRuntime::TaskGroup g(rt);
-          for (int i = 0; i < roots; ++i)
-            g.spawn(&stress_job, &root, static_cast<std::size_t>(i));
-        }
-        EXPECT_EQ(count.load(), expected_jobs(roots, depth, fanout))
+        const std::uint64_t seed = rng();
+        const std::size_t roots = 1 + rng.uniform(40);
+        const int depth = static_cast<int>(rng.uniform(5));
+        TreeTally want, got;
+        for (std::size_t r = 0; r < roots; ++r)
+          visit_tree(nullptr, hash_mix(seed + r), depth, want);
+        rt.parallel_for_each(roots, [&](std::size_t r) {
+          visit_tree(&rt, hash_mix(seed + r), depth, got);
+        });
+        EXPECT_EQ(got.nodes.load(), want.nodes.load())
+            << "threads=" << threads << " steal=" << force_steal
+            << " round=" << round;
+        EXPECT_EQ(got.checksum.load(), want.checksum.load())
             << "threads=" << threads << " steal=" << force_steal
             << " round=" << round;
       }
@@ -77,18 +71,37 @@ TEST(WsRuntimeStress, RandomizedNestedTaskGraphs) {
 }
 
 TEST(WsRuntimeStress, ParallelForInsideSpawnedJobs) {
-  // A parallel_for issued from inside a worker must nest (push to the
-  // worker's own deque and help), not deadlock or double-run indices.
-  WsRuntime rt(4);
-  const std::size_t n = 64, m = 128;
-  std::vector<std::atomic<int>> hits(n * m);
-  for (auto& h : hits) h = 0;
-  rt.parallel_for_each(n, [&](std::size_t i) {
-    rt.parallel_for_each(m, [&](std::size_t j) {
-      hits[i * m + j].fetch_add(1, std::memory_order_relaxed);
-    });
-  });
-  for (std::size_t k = 0; k < n * m; ++k) EXPECT_EQ(hits[k].load(), 1) << k;
+  // A parallel_for issued from inside a running chunk must nest (push to
+  // the worker's own deque and help), not deadlock or double-run indices —
+  // at every thread count, under both steal preferences, for random outer
+  // and inner ranges (including empty and single-index inner loops).
+  Rng rng(4711);
+  for (std::size_t threads : {1u, 2u, 4u, 8u}) {
+    for (bool force_steal : {false, true}) {
+      WsRuntime::Options o;
+      o.force_steal = force_steal;
+      WsRuntime rt(threads, o);
+      for (int round = 0; round < 4; ++round) {
+        const std::size_t n = 1 + rng.uniform(64);
+        std::vector<std::size_t> m(n), offset(n + 1, 0);
+        for (std::size_t i = 0; i < n; ++i) {
+          m[i] = rng.uniform(130);
+          offset[i + 1] = offset[i] + m[i];
+        }
+        std::vector<std::atomic<int>> hits(offset[n]);
+        for (auto& h : hits) h = 0;
+        rt.parallel_for_each(n, [&](std::size_t i) {
+          rt.parallel_for_each(m[i], [&](std::size_t j) {
+            hits[offset[i] + j].fetch_add(1, std::memory_order_relaxed);
+          });
+        });
+        for (std::size_t k = 0; k < hits.size(); ++k)
+          ASSERT_EQ(hits[k].load(), 1)
+              << "threads=" << threads << " steal=" << force_steal
+              << " round=" << round << " k=" << k;
+      }
+    }
+  }
 }
 
 TEST(WsRuntime, ForceStealCoversEveryIndexOnce) {
@@ -102,27 +115,6 @@ TEST(WsRuntime, ForceStealCoversEveryIndexOnce) {
   });
   for (std::size_t i = 0; i < hits.size(); ++i)
     EXPECT_EQ(hits[i].load(), 1) << i;
-}
-
-TEST(WsRuntime, ReduceBitIdenticalAcrossThreadCountsAndSchedules) {
-  // With a pinned chunk count the reduction's partials and fold order are a
-  // pure function of n — the float result must not move by a single bit
-  // across thread counts or steal schedules.
-  const std::size_t n = 10000, chunks = 16;
-  auto run = [&](std::size_t threads, bool force_steal) {
-    WsRuntime::Options o;
-    o.force_steal = force_steal;
-    WsRuntime rt(threads, o);
-    return rt.parallel_reduce(
-        n, 0.0,
-        [](std::size_t i) { return 1.0 / (1.0 + static_cast<double>(i)); },
-        [](double a, double b) { return a + b; }, chunks);
-  };
-  const double base = run(1, false);
-  for (std::size_t threads : {2u, 4u, 8u})
-    for (bool force_steal : {false, true})
-      EXPECT_EQ(run(threads, force_steal), base)
-          << "threads=" << threads << " steal=" << force_steal;
 }
 
 // ------------------------------------------------------------ BSIO_THREADS
@@ -170,110 +162,6 @@ TEST_F(EnvThreadsTest, MalformedZeroNegativeAndHugeAreTypedErrors) {
     ASSERT_FALSE(s.ok()) << "value: " << bad;
     EXPECT_NE(s.error().message.find("BSIO_THREADS"), std::string::npos)
         << "value: " << bad;
-  }
-}
-
-// --------------------------------------------------- parallel-wave B&B
-
-// A 2-machine makespan-assignment MIP with enough symmetry to open a real
-// branch tree (optimum 14: sizes sum to 28, perfectly splittable).
-lp::Model makespan_model(std::vector<int>& bins) {
-  lp::Model m;
-  const double sizes[8] = {7, 6, 5, 4, 3, 1, 1, 1};
-  int z = m.add_var(1.0, 0.0, 28.0);
-  int t[8][2];
-  for (int i = 0; i < 8; ++i)
-    for (int j = 0; j < 2; ++j) bins.push_back(t[i][j] = m.add_binary(0.0));
-  for (int i = 0; i < 8; ++i)
-    m.add_row(lp::Sense::kEq, 1.0, {{t[i][0], 1.0}, {t[i][1], 1.0}});
-  for (int j = 0; j < 2; ++j) {
-    std::vector<lp::RowEntry> row{{z, -1.0}};
-    for (int i = 0; i < 8; ++i) row.push_back({t[i][j], sizes[i]});
-    m.add_row(lp::Sense::kLe, 0.0, std::move(row));
-  }
-  return m;
-}
-
-ip::MipResult solve_wave(const lp::Model& m, const std::vector<int>& bins,
-                         std::size_t wave) {
-  ip::MipSolver solver(m, bins);
-  ip::MipOptions o;
-  o.node_order = ip::NodeOrder::kBestBound;
-  o.parallel_wave = wave;
-  o.time_limit_seconds = 1e6;  // only deterministic limits may bind
-  return solver.solve(o);
-}
-
-TEST(MipParallelWave, FindsTheSequentialOptimum) {
-  std::vector<int> bins;
-  const lp::Model m = makespan_model(bins);
-  const ip::MipResult seq = solve_wave(m, bins, 0);
-  const ip::MipResult par = solve_wave(m, bins, 4);
-  ASSERT_EQ(seq.status, ip::MipStatus::kOptimal);
-  ASSERT_EQ(par.status, ip::MipStatus::kOptimal);
-  EXPECT_DOUBLE_EQ(seq.objective, 14.0);
-  EXPECT_DOUBLE_EQ(par.objective, 14.0);
-}
-
-TEST(MipParallelWave, BitIdenticalAcrossThreadCountsAndSchedules) {
-  // The wave width — not the thread count or steal schedule — defines the
-  // search: every field of the result, including the explored node count
-  // and the incumbent bits, must be invariant.
-  std::vector<int> bins;
-  const lp::Model m = makespan_model(bins);
-
-  WsRuntime::set_global_threads(1);
-  const ip::MipResult base = solve_wave(m, bins, 4);
-  ASSERT_EQ(base.status, ip::MipStatus::kOptimal);
-
-  for (std::size_t threads : {2u, 8u}) {
-    for (bool force_steal : {false, true}) {
-      WsRuntime::Options o;
-      o.force_steal = force_steal;
-      WsRuntime::set_global_threads(threads, o);
-      const ip::MipResult r = solve_wave(m, bins, 4);
-      EXPECT_EQ(r.status, base.status);
-      EXPECT_EQ(r.objective, base.objective);
-      EXPECT_EQ(r.best_bound, base.best_bound);
-      EXPECT_EQ(r.nodes, base.nodes);
-      EXPECT_EQ(r.lp_iterations, base.lp_iterations);
-      ASSERT_EQ(r.x.size(), base.x.size());
-      for (std::size_t i = 0; i < r.x.size(); ++i)
-        EXPECT_EQ(r.x[i], base.x[i]) << "x[" << i << "]";
-    }
-  }
-  WsRuntime::set_global_threads(0);  // restore default
-}
-
-TEST(MipParallelWave, WideWavesStayCorrectOnRandomKnapsacks) {
-  // Randomized cross-check: wave widths 1/2/8 must all land on the
-  // sequential best-bound optimum.
-  Rng rng(77);
-  for (int inst = 0; inst < 6; ++inst) {
-    lp::Model m;
-    std::vector<int> bins;
-    const int n = 10;
-    double cap = 0.0;
-    std::vector<double> wgt(n);
-    for (int i = 0; i < n; ++i) {
-      wgt[i] = 1.0 + static_cast<double>(rng.uniform(9));
-      cap += wgt[i];
-      const double value = 1.0 + static_cast<double>(rng.uniform(20));
-      bins.push_back(m.add_binary(-value));
-    }
-    std::vector<lp::RowEntry> row;
-    for (int i = 0; i < n; ++i) row.push_back({bins[i], wgt[i]});
-    m.add_row(lp::Sense::kLe, 0.45 * cap, std::move(row));
-
-    const ip::MipResult seq = solve_wave(m, bins, 0);
-    ASSERT_EQ(seq.status, ip::MipStatus::kOptimal) << "inst " << inst;
-    for (std::size_t wave : {1u, 2u, 8u}) {
-      const ip::MipResult par = solve_wave(m, bins, wave);
-      ASSERT_EQ(par.status, ip::MipStatus::kOptimal)
-          << "inst " << inst << " wave " << wave;
-      EXPECT_DOUBLE_EQ(par.objective, seq.objective)
-          << "inst " << inst << " wave " << wave;
-    }
   }
 }
 

@@ -248,6 +248,67 @@ double estimate_completion_time(const wl::Workload& w,
   return estimate_core<false>(w, topo, ps, task, node, nullptr);
 }
 
+std::size_t estimate_completion_row(const wl::Workload& w,
+                                    const sim::Topology& topo,
+                                    const PlannerState& ps, wl::TaskId task,
+                                    const std::vector<wl::NodeId>& nodes,
+                                    double* ct) {
+  const std::vector<wl::FileId>& files = w.task(task).files;
+  if (!topo.uniform() || files.empty() || nodes.empty()) {
+    for (std::size_t j = 0; j < nodes.size(); ++j)
+      ct[j] = estimate_core<false>(w, topo, ps, task, nodes[j], nullptr);
+    return nodes.size();
+  }
+
+  // x0: the earliest instant any source of the first file frees up, from the
+  // operands estimate_core feeds its first-file std::max calls. On a uniform
+  // topology those operands are the same for every destination node (one
+  // remote and one replica bandwidth, no racks, the uplink if any shared by
+  // all), so nodes.front() stands in for the destination; replica paths
+  // cross no shared link there.
+  const wl::FileId f0 = files.front();
+  const wl::NodeId home = w.file(f0).home_storage_node;
+  const sim::TransferPath rp = topo.remote_path(home, nodes.front());
+  double link_busy = 0.0;
+  for (std::uint32_t l = 0; l < rp.num_links; ++l)
+    link_busy = std::max(link_busy, ps.link_ready[rp.links[l]]);
+  double x0 = std::max(ps.storage_ready[home], link_busy);
+  if (topo.config().allow_replication)
+    for (const auto& [holder, avail] : ps.planned[f0])
+      x0 = std::min(x0, std::max(ps.node_ready[holder], avail));
+
+  // Nodes holding any of the task's files, one bit per node, marked from
+  // the holder lists (they list exactly the on_node bits) — a few words
+  // instead of files x nodes presence lookups.
+  std::vector<std::uint64_t> holds((ps.node_ready.size() + 63) / 64, 0);
+  for (wl::FileId f : files)
+    for (const auto& [holder, avail] : ps.planned[f])
+      holds[holder >> 6] |= std::uint64_t{1} << (holder & 63);
+
+  // A node holding none of the files with node_ready <= x0 has its cursor
+  // absorbed by every first-file std::max, and from then on nothing in the
+  // core depends on which node it is: all such nodes share one value.
+  std::size_t evaluations = 0;
+  bool have_shared = false;
+  double shared = 0.0;
+  for (std::size_t j = 0; j < nodes.size(); ++j) {
+    const wl::NodeId n = nodes[j];
+    const bool interchangeable =
+        ps.node_ready[n] <= x0 && ((holds[n >> 6] >> (n & 63)) & 1u) == 0;
+    if (interchangeable && have_shared) {
+      ct[j] = shared;
+      continue;
+    }
+    ct[j] = estimate_core<false>(w, topo, ps, task, n, nullptr);
+    ++evaluations;
+    if (interchangeable) {
+      have_shared = true;
+      shared = ct[j];
+    }
+  }
+  return evaluations;
+}
+
 void apply_assignment(const wl::Workload& w, const sim::Topology& topo,
                       PlannerState& ps, wl::TaskId /*task*/, wl::NodeId node,
                       const CompletionEstimate& est) {

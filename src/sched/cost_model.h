@@ -11,11 +11,13 @@
 // with the same model the engine simulates. On homogeneous topologies every
 // expression reduces bit-identically to the classic uniform arithmetic.
 //
-// Concurrency contract: estimate_completion / estimate_completion_time take
-// the PlannerState by const reference and perform no mutation, so any number
-// of threads may evaluate candidate (task, node) pairs against one shared
-// state concurrently. All mutation (apply_assignment, add_planned, reset)
-// must happen on a single thread between those read-only sweeps.
+// Concurrency contract: estimate_completion / estimate_completion_time /
+// estimate_completion_row take the PlannerState by const reference and
+// perform no mutation, so any number of threads may evaluate candidate
+// (task, node) pairs or whole rows against one shared state concurrently
+// (MinMin's lazy initial sweep and JobDataPresent's ECT sweep run one row
+// per task in parallel). All mutation (apply_assignment, add_planned,
+// reset) must happen on a single thread between those read-only sweeps.
 //
 // Cross-batch reuse needs no plumbing here: PlannerState::reset seeds its
 // replica holders from the engine's ClusterState, so copies an earlier
@@ -146,6 +148,21 @@ double estimate_completion_time(const wl::Workload& w,
                                 const sim::Topology& topo,
                                 const PlannerState& ps, wl::TaskId task,
                                 wl::NodeId node);
+
+// The whole MCT row of `task`: ct[j] is bit-identical to
+// estimate_completion_time(w, topo, ps, task, nodes[j]) for every j (`ct`
+// holds nodes.size() slots). On a uniform() topology, every node that holds
+// none of the task's files and is ready no later than the earliest source
+// of its first file frees up gets the same value — its ready time is
+// absorbed by the first transfer's start — so the core runs once for all
+// of them and the value is copied. Other nodes, heterogeneous topologies
+// and tasks without files are evaluated node by node. Returns the number
+// of full core evaluations made.
+std::size_t estimate_completion_row(const wl::Workload& w,
+                                    const sim::Topology& topo,
+                                    const PlannerState& ps, wl::TaskId task,
+                                    const std::vector<wl::NodeId>& nodes,
+                                    double* ct);
 
 // Applies the estimate: bumps port readies and records new file locations.
 void apply_assignment(const wl::Workload& w, const sim::Topology& topo,

@@ -58,15 +58,16 @@ sim::SubBatchPlan JobDataPresentScheduler::plan_sub_batch(
   // --- Queue order: least expected earliest completion time, computed once
   // up front (the paper's replacement for [13]'s FIFO; JDP stays a cheap
   // one-pass dynamic scheme, unlike MinMin's quadratic re-evaluation). Each
-  // task's candidate-node evaluation is independent and read-only against
-  // ps, so the sweep runs on the work-stealing runtime; the per-task min over nodes
-  // and the sort stay in the historical order, keeping plans bit-identical
-  // at any thread count. ---
+  // task's MCT row (estimate_completion_row) is independent and read-only
+  // against ps, so the sweep runs on the work-stealing runtime; the per-task
+  // min over the row and the sort stay in the historical order, keeping
+  // plans bit-identical at any thread count. ---
   std::vector<double> ect(pending.size());
   WsRuntime::global().parallel_for_each(pending.size(), [&](std::size_t i) {
+    std::vector<double> row(nodes.size());
+    estimate_completion_row(w, topo, ps, pending[i], nodes, row.data());
     double best = std::numeric_limits<double>::infinity();
-    for (wl::NodeId n : nodes)
-      best = std::min(best, estimate_completion_time(w, topo, ps, pending[i], n));
+    for (double ct : row) best = std::min(best, ct);
     ect[i] = best;
   });
   std::vector<std::pair<double, wl::TaskId>> queue;

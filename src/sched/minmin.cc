@@ -63,8 +63,7 @@ void plan_lazy(const wl::Workload& w, const sim::Topology& topo,
   std::vector<double> key(pending.size());
   pool.parallel_for_each(pending.size(), [&](std::size_t i) {
     std::vector<double> r(N);
-    for (std::size_t j = 0; j < N; ++j)
-      r[j] = estimate_completion_time(w, topo, ps, pending[i], nodes[j]);
+    estimate_completion_row(w, topo, ps, pending[i], nodes, r.data());
     key[i] = fold_best_node(ps, nodes, r.data()).second;
   });
   std::priority_queue<Entry> heap;
@@ -85,9 +84,9 @@ void plan_lazy(const wl::Workload& w, const sim::Topology& topo,
     Entry e = heap.top();
     heap.pop();
     if (done[e.task]) continue;
-    pool.parallel_for_each(N, [&](std::size_t j) {
-      row[j] = estimate_completion_time(w, topo, ps, e.task, nodes[j]);
-    });
+    // Serial on purpose: the row costs about N compares plus a few core
+    // evaluations, less than a fork-join across the runtime.
+    estimate_completion_row(w, topo, ps, e.task, nodes, row.data());
     auto [node, best_ct] = fold_best_node(ps, nodes, row.data());
     const bool stale =
         !heap.empty() && best_ct > heap.top().ct + 1e-9 * (1.0 + best_ct);
@@ -167,9 +166,8 @@ void minmin_plan_into(const wl::Workload& w, const sim::Topology& topo,
     // Parallel phase: all (task, node) MCTs against the frozen ps_. Each
     // index writes only its own slot — bit-identical at any thread count.
     pool.parallel_for_each(A, [&](std::size_t a) {
-      for (std::size_t j = 0; j < N; ++j)
-        ct[a * N + j] =
-            estimate_completion_time(w, topo, ps, pending[alive[a]], nodes[j]);
+      estimate_completion_row(w, topo, ps, pending[alive[a]], nodes,
+                              &ct[a * N]);
     });
 
     // Sequential fold in the historical (task, node) order.

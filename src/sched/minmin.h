@@ -8,10 +8,12 @@
 // source for later decisions. The whole batch is planned in one sub-batch;
 // the engine's popularity eviction handles disk pressure.
 //
-// The per-round (task x node) MCT sweep runs on the global WsRuntime; the
-// argmin fold over the precomputed estimates stays sequential and visits
-// candidates in the historical order, so plans are bit-identical at any
-// thread count.
+// Every (task x all nodes) MCT row comes from estimate_completion_row, which
+// prices the nodes the estimate cannot tell apart once. The exact sweep and
+// the lazy initial sweep run one row per task on the global WsRuntime; the
+// lazy per-pop refresh is a single serial row. The argmin fold over the
+// precomputed estimates stays sequential and visits candidates in the
+// historical order, so plans are bit-identical at any thread count.
 #pragma once
 
 #include <limits>

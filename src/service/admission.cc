@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <utility>
 
 #include "sim/state.h"
@@ -17,12 +18,14 @@ double estimate_batch_seconds(const wl::Workload& batch,
   // Cold, empty caches: capacity is irrelevant to the MCT arithmetic.
   const sim::ClusterState cold(cluster.num_compute_nodes, sim::kUnlimited);
   sched::PlannerState ps(batch, topo, cold);
+  std::vector<wl::NodeId> nodes(cluster.num_compute_nodes);
+  std::iota(nodes.begin(), nodes.end(), wl::NodeId{0});
+  std::vector<double> row(nodes.size());
   double total = 0.0;
   for (const auto& t : batch.tasks()) {
+    sched::estimate_completion_row(batch, topo, ps, t.id, nodes, row.data());
     double best = std::numeric_limits<double>::infinity();
-    for (wl::NodeId n = 0; n < cluster.num_compute_nodes; ++n)
-      best = std::min(best,
-                      sched::estimate_completion_time(batch, topo, ps, t.id, n));
+    for (double ct : row) best = std::min(best, ct);
     total += best;
   }
   return total / static_cast<double>(cluster.num_compute_nodes);

@@ -34,6 +34,7 @@ wl::Workload make_service_batch(const std::vector<wl::FileInfo>& catalog,
   BSIO_CHECK(cfg.files_per_task > 0 && cfg.files_per_task <= catalog.size());
   BSIO_CHECK(cfg.write_fraction >= 0.0 && cfg.write_fraction <= 1.0);
   Rng rng(seed);
+  const ZipfTable zipf(catalog.size(), cfg.zipf_s);
   std::vector<wl::TaskInfo> tasks(cfg.tasks_per_batch);
   for (std::size_t t = 0; t < cfg.tasks_per_batch; ++t) {
     wl::TaskInfo& task = tasks[t];
@@ -42,8 +43,7 @@ wl::Workload make_service_batch(const std::vector<wl::FileInfo>& catalog,
     // task's file set, so repeats are rare even under heavy skew.
     std::unordered_set<wl::FileId> chosen;
     while (chosen.size() < cfg.files_per_task)
-      chosen.insert(
-          static_cast<wl::FileId>(rng.zipf(catalog.size(), cfg.zipf_s)));
+      chosen.insert(static_cast<wl::FileId>(zipf.draw(rng)));
     task.files.assign(chosen.begin(), chosen.end());
     std::sort(task.files.begin(), task.files.end());
     double bytes = 0.0;

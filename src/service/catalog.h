@@ -55,8 +55,9 @@ struct ServiceBatchConfig {
 };
 
 // One batch over the shared catalogue: every task draws
-// `files_per_task` DISTINCT files Zipf-skewed towards the hot (low-id) end,
-// compute time proportional to input bytes. Deterministic in `seed`.
+// `files_per_task` DISTINCT files Zipf-skewed towards the hot (low-id) end
+// (ranks from one ZipfTable per call), compute time proportional to input
+// bytes. Deterministic in `seed`.
 wl::Workload make_service_batch(const std::vector<wl::FileInfo>& catalog,
                                 const ServiceBatchConfig& cfg,
                                 std::uint64_t seed);

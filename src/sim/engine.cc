@@ -331,8 +331,10 @@ Result<ExecutionEngine::TransferChoice> ExecutionEngine::commit_transfer(
         ++stats.remote_transfers;
         stats.remote_bytes += size;
         // A remote fetch from a stale home only happens when every current
-        // copy is gone (writer crashed before a flush): the newest version
-        // is unrecoverable and this read rolls back to the old one.
+        // copy is gone: the writer crashed before a flush, or eviction
+        // dropped the only un-flushed dirty copy (select_victims does not
+        // consult home validity). The newest version is unrecoverable and
+        // this read rolls back to the old one.
         if (home_valid_[file] == 0) ++stats.lost_versions;
       } else {
         if (touch_replica_source)

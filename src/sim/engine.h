@@ -144,7 +144,8 @@ struct ExecutionStats {
   std::uint64_t replicas_invalidated = 0;  // stale copies dropped by writes
   std::uint64_t home_flushes = 0;          // dirty versions written back home
   // Reads forced to serve a stale home copy because a write's only current
-  // version vanished (writer crash before a flush): a durability loss.
+  // version vanished before a flush (writer crash, or eviction of the only
+  // dirty copy): a durability loss.
   std::uint64_t lost_versions = 0;
   double repair_bytes = 0.0;
   double repair_seconds = 0.0;

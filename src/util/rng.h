@@ -6,6 +6,7 @@
 // plus the small set of distributions the workload emulators need.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
@@ -103,16 +104,11 @@ class Rng {
 
   bool bernoulli(double p) { return uniform_double() < p; }
 
-  // Zipf-like rank selection over n items with exponent s (s = 0 -> uniform).
-  // Used to model "hot spot" file popularity. O(n) setup avoided by caller
-  // precomputing weights; this is the direct (small-n) path.
-  std::size_t zipf(std::size_t n, double s);
-
   // O(1)-per-draw Zipf-like rank selection for huge n (the streaming
   // workload generators draw from multi-million-file universes, where
-  // zipf()'s O(n) weight accumulation per draw is unusable). Inverts the
-  // continuous power-law CDF over [1, n+1) instead of the discrete sum, so
-  // the distribution is a close approximation of zipf() — same exponent,
+  // ZipfTable's O(n) prefix table is unaffordable). Inverts the continuous
+  // power-law CDF over [1, n+1) instead of the discrete sum, so the
+  // distribution is a close approximation of ZipfTable — same exponent,
   // same hot-head behaviour — but NOT the same draw sequence.
   std::size_t zipf_stream(std::size_t n, double s);
 
@@ -137,21 +133,37 @@ class Rng {
   std::array<std::uint64_t, 4> s_{};
 };
 
-inline std::size_t Rng::zipf(std::size_t n, double s) {
-  BSIO_DCHECK(n > 0);
-  if (s == 0.0) return uniform(n);
-  // Inverse-CDF over explicitly accumulated weights; fine for the modest n
-  // the emulators use. Weight of rank r (1-based) is r^-s.
-  double total = 0.0;
-  for (std::size_t r = 1; r <= n; ++r) total += 1.0 / std::pow(static_cast<double>(r), s);
-  double u = uniform_double() * total;
-  double acc = 0.0;
-  for (std::size_t r = 1; r <= n; ++r) {
-    acc += 1.0 / std::pow(static_cast<double>(r), s);
-    if (u <= acc) return r - 1;
+// Zipf-like rank selection over n items with exponent s (s = 0 ->
+// uniform), used to model "hot spot" file popularity. The weight of rank r
+// (1-based) is r^-s; the table holds their prefix sums, accumulated once in
+// rank order, so a draw is a uniform variate scaled by the total plus a
+// binary search — the same ranks, draw for draw, as re-accumulating the
+// weights on every draw and returning the first r with u <= sum_{i<=r}.
+class ZipfTable {
+ public:
+  ZipfTable(std::size_t n, double s) : n_(n) {
+    BSIO_CHECK(n > 0);
+    if (s == 0.0) return;  // uniform: no table, draw() defers to Rng
+    cdf_.resize(n);
+    double acc = 0.0;
+    for (std::size_t r = 1; r <= n; ++r) {
+      acc += 1.0 / std::pow(static_cast<double>(r), s);
+      cdf_[r - 1] = acc;
+    }
   }
-  return n - 1;
-}
+
+  std::size_t draw(Rng& rng) const {
+    if (cdf_.empty()) return rng.uniform(n_);
+    const double u = rng.uniform_double() * cdf_.back();
+    const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
+    return it == cdf_.end() ? n_ - 1
+                            : static_cast<std::size_t>(it - cdf_.begin());
+  }
+
+ private:
+  std::size_t n_;
+  std::vector<double> cdf_;  // cdf_[r - 1] = sum of the weights of ranks <= r
+};
 
 inline std::size_t Rng::zipf_stream(std::size_t n, double s) {
   BSIO_DCHECK(n > 0);

@@ -96,6 +96,37 @@ TEST(Rng, BernoulliExtremes) {
   }
 }
 
+// The per-draw weight accumulation ZipfTable replaced, kept verbatim as the
+// reference: sum the weights r^-s, scale a uniform variate by the total and
+// return the first rank whose running sum reaches it.
+std::size_t zipf_reference(Rng& rng, std::size_t n, double s) {
+  if (s == 0.0) return rng.uniform(n);
+  double total = 0.0;
+  for (std::size_t r = 1; r <= n; ++r)
+    total += 1.0 / std::pow(static_cast<double>(r), s);
+  double u = rng.uniform_double() * total;
+  double acc = 0.0;
+  for (std::size_t r = 1; r <= n; ++r) {
+    acc += 1.0 / std::pow(static_cast<double>(r), s);
+    if (u <= acc) return r - 1;
+  }
+  return n - 1;
+}
+
+TEST(Rng, ZipfTableReproducesTheAccumulatingLoop) {
+  for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{1024}})
+    for (double s : {0.0, 0.5, 1.1, 2.0}) {
+      const ZipfTable table(n, s);
+      for (std::uint64_t seed : {1u, 7u, 7919u}) {
+        Rng a(seed), b(seed);
+        for (int i = 0; i < 2000; ++i)
+          ASSERT_EQ(table.draw(a), zipf_reference(b, n, s))
+              << "n " << n << " s " << s << " seed " << seed << " draw " << i;
+        EXPECT_EQ(a(), b());  // both consumed the same variates
+      }
+    }
+}
+
 TEST(Hilbert, RoundTripBijection) {
   for (std::uint32_t side : {1u, 2u, 4u, 8u, 16u}) {
     std::set<std::pair<std::uint32_t, std::uint32_t>> seen;

@@ -98,15 +98,18 @@ std::unique_ptr<sched::Scheduler> make_ip() {
   sched::IpSchedulerOptions o = sched::IpScheduler::default_options();
   // One 32-task wave per IP solve, with a tight per-round budget. Measured
   // on the bench workloads, branch-and-bound polish past the warm-started
-  // incumbent never changes the plan (a 10 s budget and a 40 ms budget
-  // produce bit-identical makespans), so the budget only sets how much
-  // planning time the bench pays per sub-batch — and the sliced plans beat
-  // the old single-shot 2 s configuration on simulated makespan.
+  // incumbent never changes the plan (4 and 16 nodes per MIP produce
+  // bit-identical makespans), so the budget only sets how much planning
+  // time the bench pays per sub-batch — and the sliced plans beat the old
+  // single-shot 2 s configuration on simulated makespan. The budget is a
+  // node count, never wall clock, so the IP rows (plans and LP/MIP
+  // counters) repeat exactly under any host load.
   o.max_subbatch_tasks = 32;
-  o.selection_mip.time_limit_seconds = 0.04;
-  o.allocation_mip.time_limit_seconds = 0.04;
-  o.selection_mip.stall_node_limit = 64;
-  o.allocation_mip.stall_node_limit = 64;
+  for (ip::MipOptions* m : {&o.selection_mip, &o.allocation_mip}) {
+    m->time_limit_seconds = 1e9;
+    m->max_nodes = 4;
+    m->stall_node_limit = 64;
+  }
   return std::make_unique<sched::IpScheduler>(o);
 }
 

@@ -73,10 +73,13 @@ std::unique_ptr<sched::Scheduler> make_ip() {
   sched::IpSchedulerOptions o = sched::IpScheduler::default_options();
   // The perf_makespan budget rationale applies: warm-started incumbents
   // make long polish a no-op, so tight budgets keep the sweep affordable.
-  o.selection_mip.time_limit_seconds = 0.04;
-  o.allocation_mip.time_limit_seconds = 0.04;
-  o.selection_mip.stall_node_limit = 64;
-  o.allocation_mip.stall_node_limit = 64;
+  // The budget is a node count, never wall clock, so the IP rows repeat
+  // exactly under any host load.
+  for (ip::MipOptions* m : {&o.selection_mip, &o.allocation_mip}) {
+    m->time_limit_seconds = 1e9;
+    m->max_nodes = 4;
+    m->stall_node_limit = 64;
+  }
   return std::make_unique<sched::IpScheduler>(o);
 }
 

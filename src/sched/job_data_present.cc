@@ -30,11 +30,11 @@ sim::SubBatchPlan JobDataPresentScheduler::plan_sub_batch(
     for (wl::TaskId t : pending)
       for (wl::FileId f : w.task(t).files) popularity[f] += 1.0;
 
-    // Planned load per node = bytes of files it is slated to hold, read
-    // straight off the per-node replica lists.
+    // Planned load per node = bytes of files it is slated to hold. Walking
+    // the holder lists file-major sums each node's files in ascending id.
     std::vector<double> load(c.num_compute_nodes, 0.0);
-    for (wl::NodeId n = 0; n < c.num_compute_nodes; ++n)
-      for (wl::FileId f : ps.node_files[n]) load[n] += w.file_size(f);
+    for (wl::FileId f = 0; f < ps.planned.size(); ++f)
+      for (const auto& [n, avail] : ps.planned[f]) load[n] += w.file_size(f);
 
     std::vector<std::pair<double, wl::FileId>> hot;
     for (const auto& [f, pop] : popularity)

@@ -157,47 +157,84 @@ Status ExecutionEngine::seed_cache(const InitialCacheState& seed) {
   return OkStatus();
 }
 
+ExecutionEngine::TransferChoice ExecutionEngine::price_copy(
+    bool remote, wl::NodeId src, Timeline& src_tl, const TransferPath& path,
+    Timeline& dst_tl, double size, double after, double bandwidth_cap) {
+  TransferChoice c;
+  c.remote = remote;
+  c.src = src;
+  c.src_tl = &src_tl;
+  c.dst_tl = &dst_tl;
+  c.path = path;
+  double bw = path.bandwidth;
+  if (bandwidth_cap > 0.0) bw = std::min(bw, bandwidth_cap);
+  c.duration = size / bw;
+  std::vector<Timeline*> tls{&src_tl};
+  for (std::uint32_t l = 0; l < path.num_links; ++l)
+    tls.push_back(&link_tl_[path.links[l]]);
+  tls.push_back(&dst_tl);
+  c.start = earliest_common_free(tls, after, c.duration);
+  return c;
+}
+
+ExecutionEngine::TransferChoice ExecutionEngine::home_copy(
+    wl::FileId file, wl::NodeId dst, double after, double bandwidth_cap) {
+  const wl::NodeId home = workload_.file(file).home_storage_node;
+  BSIO_CHECK_MSG(home < cluster_.num_storage_nodes,
+                 "file home storage node out of range for this cluster");
+  return price_copy(true, home, storage_tl_[home], topo_.remote_path(home, dst),
+                    compute_tl_[dst], workload_.file_size(file), after,
+                    bandwidth_cap);
+}
+
+ExecutionEngine::TransferChoice ExecutionEngine::holder_copy(
+    wl::FileId file, wl::NodeId holder, Endpoint dst, double after,
+    double bandwidth_cap) {
+  const bool to_storage = dst.kind == Endpoint::Kind::kStorage;
+  const TransferPath path = to_storage ? topo_.remote_path(dst.id, holder)
+                                       : topo_.replica_path(holder, dst.id);
+  Timeline& dst_tl = to_storage ? storage_tl_[dst.id] : compute_tl_[dst.id];
+  const double ready = std::max(after, state_.available_at(holder, file));
+  return price_copy(false, holder, compute_tl_[holder], path, dst_tl,
+                    workload_.file_size(file), ready, bandwidth_cap);
+}
+
+bool ExecutionEngine::fold_holders(wl::FileId file, Endpoint dst, double after,
+                                   double bandwidth_cap, TransferChoice& best,
+                                   bool found) {
+  for (wl::NodeId j : state_.holders(file)) {
+    if (!alive_[j] || (dst.kind == Endpoint::Kind::kCompute && j == dst.id))
+      continue;
+    TransferChoice c = holder_copy(file, j, dst, after, bandwidth_cap);
+    // A source scheduled to crash before the copy completes cannot serve
+    // it.
+    if (c.completion() > faults_.crash_time(j)) continue;
+    if (!found || c.completion() < best.completion() - 1e-12 ||
+        (c.completion() < best.completion() + 1e-12 &&
+         (best.remote || c.src < best.src))) {
+      best = c;
+      found = true;
+    }
+  }
+  return found;
+}
+
+void ExecutionEngine::reserve_copy(const TransferChoice& c) {
+  reserve_tl(*c.src_tl, c.start, c.duration);
+  for (std::uint32_t l = 0; l < c.path.num_links; ++l)
+    reserve_tl(link_tl_[c.path.links[l]], c.start, c.duration);
+  reserve_tl(*c.dst_tl, c.start, c.duration);
+}
+
 ExecutionEngine::TransferChoice ExecutionEngine::best_transfer(
     const SubBatchPlan& plan, wl::FileId file, wl::NodeId dst, double after) {
-  const double size = workload_.file_size(file);
-
-  auto remote_choice = [&]() {
-    TransferChoice c;
-    c.remote = true;
-    c.src = workload_.file(file).home_storage_node;
-    BSIO_CHECK_MSG(c.src < cluster_.num_storage_nodes,
-                   "file home storage node out of range for this cluster");
-    c.path = topo_.remote_path(c.src, dst);
-    c.duration = size / c.path.bandwidth;
-    std::vector<Timeline*> tls{&storage_tl_[c.src]};
-    for (std::uint32_t l = 0; l < c.path.num_links; ++l)
-      tls.push_back(&link_tl_[c.path.links[l]]);
-    tls.push_back(&compute_tl_[dst]);
-    c.start = earliest_common_free(tls, after, c.duration);
-    return c;
-  };
-
-  auto replica_choice = [&](wl::NodeId j) {
-    TransferChoice c;
-    c.remote = false;
-    c.src = j;
-    c.path = topo_.replica_path(j, dst);
-    c.duration = size / c.path.bandwidth;
-    const double avail = state_.available_at(j, file);
-    std::vector<Timeline*> tls{&compute_tl_[j]};
-    for (std::uint32_t l = 0; l < c.path.num_links; ++l)
-      tls.push_back(&link_tl_[c.path.links[l]]);
-    tls.push_back(&compute_tl_[dst]);
-    c.start = earliest_common_free(tls, std::max(after, avail), c.duration);
-    return c;
-  };
-
   // A write leaves the home storage copy stale until the replica manager
   // flushes it back; while stale, a remote fetch serves an OLD version and
   // is only acceptable as a rollback read when no node holds the current
   // one. Output-free workloads never mark a home stale, so this gate is
   // inert on every pre-existing scenario.
   const bool stale_home = home_valid_[file] == 0;
+  const Endpoint to = Endpoint::compute(dst);
 
   // A fixed staging directive (IP plan) short-circuits the dynamic rule,
   // unless it has gone stale (replica source no longer holds the file, has
@@ -206,36 +243,20 @@ ExecutionEngine::TransferChoice ExecutionEngine::best_transfer(
   auto it = plan.staging.find({file, dst});
   if (it != plan.staging.end()) {
     const StagingSource& s = it->second;
-    if (s.kind == SourceKind::kRemote && !stale_home) return remote_choice();
+    if (s.kind == SourceKind::kRemote && !stale_home)
+      return home_copy(file, dst, after, 0.0);
     if (s.kind != SourceKind::kRemote && cluster_.allow_replication &&
         s.src_node != dst && s.src_node < cluster_.num_compute_nodes &&
         alive_[s.src_node] && state_.has(s.src_node, file)) {
-      TransferChoice c = replica_choice(s.src_node);
+      TransferChoice c = holder_copy(file, s.src_node, to, after, 0.0);
       if (c.completion() <= faults_.crash_time(s.src_node)) return c;
     }
   }
 
-  TransferChoice best = remote_choice();
-  bool best_is_stale = stale_home;
-  if (cluster_.allow_replication) {
-    for (wl::NodeId j : state_.holders(file)) {
-      if (j == dst || !alive_[j]) continue;
-      TransferChoice c = replica_choice(j);
-      // A source scheduled to crash before the copy completes cannot serve
-      // it.
-      if (c.completion() > faults_.crash_time(j)) continue;
-      // Any current copy beats a stale home read outright; otherwise a
-      // strictly-better completion wins and ties keep the replica with the
-      // lowest source id, preferring replicas over remote (less storage
-      // contention) on exact ties.
-      if (best_is_stale || c.completion() < best.completion() - 1e-12 ||
-          (c.completion() < best.completion() + 1e-12 &&
-           (best.remote || c.src < best.src))) {
-        best = c;
-        best_is_stale = false;
-      }
-    }
-  }
+  // Any current copy beats a stale home read outright.
+  TransferChoice best = home_copy(file, dst, after, 0.0);
+  if (cluster_.allow_replication)
+    fold_holders(file, to, after, 0.0, best, !stale_home);
   return best;
 }
 
@@ -318,13 +339,7 @@ Result<ExecutionEngine::TransferChoice> ExecutionEngine::commit_transfer(
   const std::uint64_t seq = transfer_seq_++;
   for (std::size_t attempt = 0;; ++attempt) {
     TransferChoice c = best_transfer(plan, file, dst, after);
-    if (c.remote)
-      reserve_tl(storage_tl_[c.src], c.start, c.duration);
-    else
-      reserve_tl(compute_tl_[c.src], c.start, c.duration);
-    for (std::uint32_t l = 0; l < c.path.num_links; ++l)
-      reserve_tl(link_tl_[c.path.links[l]], c.start, c.duration);
-    reserve_tl(compute_tl_[dst], c.start, c.duration);
+    reserve_copy(c);
 
     if (!faults_.transfer_attempt_fails(seq, attempt)) {
       if (c.remote) {
@@ -899,50 +914,12 @@ Result<double> ExecutionEngine::stage_replica(wl::FileId file, wl::NodeId dst,
     return Err("stage_replica: no free space on node " + std::to_string(dst) +
                " (background repair never evicts)");
 
-  const auto capped = [&](double path_bw) {
-    return bandwidth_cap > 0.0 ? std::min(path_bw, bandwidth_cap) : path_bw;
-  };
-
   // Candidate sources: the home storage copy while valid, plus every alive
-  // current holder. Same rule as foreground staging: earliest completion
-  // wins, ties keep the lowest replica source id, replica over remote on
-  // exact ties.
-  TransferChoice best;
-  bool found = false;
-  if (home_valid_[file] != 0) {
-    best.remote = true;
-    best.src = workload_.file(file).home_storage_node;
-    best.path = topo_.remote_path(best.src, dst);
-    best.duration = size / capped(best.path.bandwidth);
-    std::vector<Timeline*> tls{&storage_tl_[best.src]};
-    for (std::uint32_t l = 0; l < best.path.num_links; ++l)
-      tls.push_back(&link_tl_[best.path.links[l]]);
-    tls.push_back(&compute_tl_[dst]);
-    best.start = earliest_common_free(tls, after, best.duration);
-    found = true;
-  }
-  for (wl::NodeId j : state_.holders(file)) {
-    if (j == dst || !alive_[j]) continue;
-    TransferChoice c;
-    c.remote = false;
-    c.src = j;
-    c.path = topo_.replica_path(j, dst);
-    c.duration = size / capped(c.path.bandwidth);
-    std::vector<Timeline*> tls{&compute_tl_[j]};
-    for (std::uint32_t l = 0; l < c.path.num_links; ++l)
-      tls.push_back(&link_tl_[c.path.links[l]]);
-    tls.push_back(&compute_tl_[dst]);
-    c.start = earliest_common_free(
-        tls, std::max(after, state_.available_at(j, file)), c.duration);
-    if (c.completion() > faults_.crash_time(j)) continue;
-    if (!found || c.completion() < best.completion() - 1e-12 ||
-        (c.completion() < best.completion() + 1e-12 &&
-         (best.remote || c.src < best.src))) {
-      best = c;
-      found = true;
-    }
-  }
-  if (!found)
+  // current holder, under the foreground source rule — but with no staging
+  // directive and regardless of allow_replication.
+  TransferChoice best = home_copy(file, dst, after, bandwidth_cap);
+  if (!fold_holders(file, Endpoint::compute(dst), after, bandwidth_cap, best,
+                    home_valid_[file] != 0))
     return Err("stage_replica: no valid source for file " +
                std::to_string(file) +
                " (home copy stale and no current holder)");
@@ -950,13 +927,7 @@ Result<double> ExecutionEngine::stage_replica(wl::FileId file, wl::NodeId dst,
     return Err("stage_replica: destination node " + std::to_string(dst) +
                " crashes before the copy completes");
 
-  if (best.remote)
-    storage_tl_[best.src].reserve(best.start, best.duration);
-  else
-    compute_tl_[best.src].reserve(best.start, best.duration);
-  for (std::uint32_t l = 0; l < best.path.num_links; ++l)
-    link_tl_[best.path.links[l]].reserve(best.start, best.duration);
-  compute_tl_[dst].reserve(best.start, best.duration);
+  reserve_copy(best);
   state_.add(dst, file, size, best.completion());
 
   ++totals_.replicas_created;
@@ -978,55 +949,26 @@ Result<double> ExecutionEngine::flush_to_home(wl::FileId file, double after,
   if (!(after >= 0.0))
     return Err("flush_to_home: start floor must be non-negative");
 
-  const double size = workload_.file_size(file);
+  // Best alive holder of the current version, priced over the remote path
+  // in reverse.
   const wl::NodeId home = workload_.file(file).home_storage_node;
-  const auto capped = [&](double path_bw) {
-    return bandwidth_cap > 0.0 ? std::min(path_bw, bandwidth_cap) : path_bw;
-  };
-
-  // Best alive holder of the current version; the write-back reuses the
-  // remote path's pricing in reverse (link bandwidths are symmetric).
-  wl::NodeId src = wl::kInvalidNode;
-  TransferPath path;
-  double start = 0.0;
-  double duration = 0.0;
-  for (wl::NodeId j : state_.holders(file)) {
-    if (!alive_[j]) continue;
-    const TransferPath p = topo_.remote_path(home, j);
-    const double d = size / capped(p.bandwidth);
-    std::vector<Timeline*> tls{&compute_tl_[j]};
-    for (std::uint32_t l = 0; l < p.num_links; ++l)
-      tls.push_back(&link_tl_[p.links[l]]);
-    tls.push_back(&storage_tl_[home]);
-    const double s = earliest_common_free(
-        tls, std::max(after, state_.available_at(j, file)), d);
-    if (s + d > faults_.crash_time(j)) continue;
-    if (src == wl::kInvalidNode || s + d < start + duration - 1e-12 ||
-        (s + d < start + duration + 1e-12 && j < src)) {
-      src = j;
-      path = p;
-      start = s;
-      duration = d;
-    }
-  }
-  if (src == wl::kInvalidNode)
+  TransferChoice best;
+  if (!fold_holders(file, Endpoint::storage(home), after, bandwidth_cap, best,
+                    false))
     return Err("flush_to_home: no alive node holds the current version of "
                "file " +
                std::to_string(file) + " (the newest write is lost)");
 
-  compute_tl_[src].reserve(start, duration);
-  for (std::uint32_t l = 0; l < path.num_links; ++l)
-    link_tl_[path.links[l]].reserve(start, duration);
-  storage_tl_[home].reserve(start, duration);
+  reserve_copy(best);
   home_valid_[file] = 1;
 
   ++totals_.home_flushes;
-  totals_.repair_bytes += size;
-  totals_.repair_seconds += duration;
+  totals_.repair_bytes += workload_.file_size(file);
+  totals_.repair_seconds += best.duration;
   if (options_.trace)
     trace_.push_back({TraceEvent::Kind::kReplicaCreate, wl::kInvalidTask, file,
-                      src, home, start, start + duration});
-  return start + duration;
+                      best.src, home, best.start, best.completion()});
+  return best.completion();
 }
 
 std::vector<wl::TaskId> ExecutionEngine::take_orphaned() {

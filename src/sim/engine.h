@@ -12,7 +12,10 @@
 //    task's file transfers exactly (greedy minimum-TCT-first, tentative
 //    Gantt reservations);
 //  - a transfer reserves both endpoint timelines (single-port model) plus
-//    every shared link on its resolved TransferPath;
+//    every shared link on its resolved TransferPath; foreground staging,
+//    background repair and the write-back flush all go through one copy
+//    pricer, one source rule and one reservation (price_copy,
+//    fold_holders, reserve_copy);
 //  - destination-side reservations are append-only (at or after the node's
 //    horizon), which makes on-demand eviction temporally safe: every file
 //    resident on a node stopped being referenced before the node's horizon;
@@ -284,9 +287,13 @@ class ExecutionEngine {
   }
 
  private:
+  // One priced copy: it holds the source port, every shared link on the
+  // path and the destination port over [start, start + duration).
   struct TransferChoice {
-    bool remote = true;
+    bool remote = true;  // sourced from the file's home storage copy
     wl::NodeId src = wl::kInvalidNode;  // storage node or compute node
+    Timeline* src_tl = nullptr;         // source port
+    Timeline* dst_tl = nullptr;         // destination port
     double start = 0.0;
     double duration = 0.0;
     TransferPath path;  // shared links the transfer reserves
@@ -317,9 +324,45 @@ class ExecutionEngine {
     std::size_t trace_end = 0;    // events in trace_
   };
 
+  // --- The one copy path: foreground staging, background repair and the
+  // write-back flush all price, pick and reserve copies through these. ---
+
+  // Prices a copy of `size` bytes over `path` from `src_tl` to `dst_tl`:
+  // the earliest start no earlier than `after` at which both ports and
+  // every path link are free for size / (cap > 0 ? min(bw, cap) : bw)
+  // seconds. Non-const only to let the gap queries resume the timelines'
+  // monotone cursors.
+  TransferChoice price_copy(bool remote, wl::NodeId src, Timeline& src_tl,
+                            const TransferPath& path, Timeline& dst_tl,
+                            double size, double after, double bandwidth_cap);
+
+  // Remote fetch of `file` from its home storage copy (current or stale)
+  // onto compute node `dst`.
+  TransferChoice home_copy(wl::FileId file, wl::NodeId dst, double after,
+                           double bandwidth_cap);
+
+  // Copy of `file` from compute node `holder`, no earlier than its copy is
+  // available: onto a compute node over the replica path, or back to a
+  // storage node over the remote path in reverse (link bandwidths are
+  // symmetric in the topology model).
+  TransferChoice holder_copy(wl::FileId file, wl::NodeId holder, Endpoint dst,
+                             double after, double bandwidth_cap);
+
+  // The source rule: folds every alive current holder of `file` (other
+  // than `dst`) that finishes the copy before it crashes into `best`. An
+  // earlier completion by more than 1e-12 wins; on a near-tie a replica
+  // beats a remote fetch, else the lower source id wins. `found` false
+  // means `best` is no valid source yet (empty, or a stale home read), so
+  // the first such holder replaces it. Returns whether `best` ends up a
+  // valid source.
+  bool fold_holders(wl::FileId file, Endpoint dst, double after,
+                    double bandwidth_cap, TransferChoice& best, bool found);
+
+  // Reserves the copy's source port, path links and destination port.
+  void reserve_copy(const TransferChoice& c);
+
   // Best transfer for staging `file` onto `dst` no earlier than `after`,
-  // honouring a fixed staging directive if the plan carries one. Non-const
-  // only to let its gap queries resume the timelines' monotone cursors.
+  // honouring a fixed staging directive if the plan carries one.
   TransferChoice best_transfer(const SubBatchPlan& plan, wl::FileId file,
                                wl::NodeId dst, double after);
 

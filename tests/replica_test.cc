@@ -261,8 +261,8 @@ TEST(ReplicaManager, WriterCrashBeforeFlushIsLostAndUnrepairable) {
   EXPECT_EQ(eng.totals().lost_versions, 1u);
 }
 
-TEST(ReplicaManager, PopularityOverrideSelectsHotterTier) {
-  const wl::Workload w = one_file_workload(/*writes=*/false);
+TEST(ReplicaManager, AdmittedDemandSelectsHotterTier) {
+  wl::Workload w = one_file_workload(/*writes=*/false);
   const sim::ClusterConfig c = replica_cluster(2, 2);
   sim::ExecutionEngine eng(c, w);
   replica::ReplicaConfig cfg;
@@ -275,8 +275,15 @@ TEST(ReplicaManager, PopularityOverrideSelectsHotterTier) {
   EXPECT_EQ(mgr.desired_rf(eng, 0), 1u);
   EXPECT_EQ(mgr.residency(eng, 0), replica::Residency::kSatisfied);
 
-  // The service's cross-batch count promotes it to the hot tier.
-  mgr.note_popularity(0, 25.0);
+  // Tasks admitted later (as the stream service appends batches) raise
+  // the pending requests past the hot tier's boundary.
+  std::vector<wl::TaskInfo> more(24);
+  for (wl::TaskInfo& t : more) {
+    t.files = {0};
+    t.compute_seconds = 1.0;
+  }
+  w.append_tasks(std::move(more));
+  ASSERT_TRUE(eng.admit_new_tasks().ok());
   EXPECT_EQ(mgr.popularity(eng, 0), 25.0);
   EXPECT_EQ(mgr.desired_rf(eng, 0), 3u);
   EXPECT_EQ(mgr.residency(eng, 0), replica::Residency::kDegraded);

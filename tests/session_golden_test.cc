@@ -8,8 +8,11 @@
 // replication with background repair, and speculation on a degraded node.
 // Every value was captured from the batch driver as it stood before the
 // fold; a mismatch means the session stopped reproducing that driver, not
-// that the table needs regenerating. Each row must hold at 1, 2 and 8
-// planning threads.
+// that the table needs regenerating. The write/repair row was recorded
+// before the engine's foreground staging, background repair and write-back
+// flush were folded onto one copy pricer: it pins flush_to_home, capped
+// stage_replica and a stale-home read that counts lost_versions. Each row
+// must hold at 1, 2 and 8 planning threads.
 
 #include <gtest/gtest.h>
 
@@ -26,6 +29,7 @@
 #include "sched/ip_scheduler.h"
 #include "sched/job_data_present.h"
 #include "sched/minmin.h"
+#include "service/catalog.h"
 #include "sim/cluster.h"
 #include "util/ws_runtime.h"
 #include "workload/synthetic.h"
@@ -122,6 +126,32 @@ std::vector<GoldenCase> golden_cases() {
     c.options.speculation.min_cached_inputs = 0;
     cases.push_back(std::move(c));
   }
+  {
+    // Writes with capped repair: node 1 crashes before the first repair
+    // round, taking un-flushed versions with it (a stale-home read counts
+    // lost_versions); the rounds after each sub-batch flush dirty homes and
+    // fan hot files out at 40 MB/s.
+    service::SharedCatalogConfig catalog;
+    catalog.num_files = 48;
+    catalog.mean_file_size_bytes = 40.0 * sim::kMB;
+    catalog.seed = 3;
+    service::ServiceBatchConfig batch;
+    batch.tasks_per_batch = 96;
+    batch.files_per_task = 3;
+    batch.write_fraction = 0.3;
+    wl::Workload w = service::make_service_batch(
+        service::make_shared_catalog(catalog), batch, 29);
+    GoldenCase c{"bipartition-writes-repair", std::move(w),
+                 sim::xio_cluster(6, 4), {}, [] {
+                   return std::make_unique<sched::BiPartitionScheduler>();
+                 }};
+    c.cluster.disk_capacity = 0.5 * sim::kGB;
+    c.options.faults.compute_crashes = {{1, 5.0}};
+    c.options.replication.enabled = true;
+    c.options.replication.tiers = {{0.0, 1}, {1.0, 2}};
+    c.options.replication.repair_bandwidth_cap = 40.0 * sim::kMB;
+    cases.push_back(std::move(c));
+  }
   return cases;
 }
 
@@ -150,11 +180,13 @@ struct GoldenRow {
   std::uint64_t speculative_wins;
   std::uint64_t replicas_created;
   std::uint64_t home_flushes;
+  std::uint64_t lost_versions;
   double remote_bytes;
   double replica_bytes;
   double recovery_seconds;
   double wasted_seconds;
   double repair_bytes;
+  double repair_seconds;
   std::int64_t lp_pivots;
   std::int64_t mip_nodes;
   std::size_t replica_deficit;
@@ -164,29 +196,35 @@ struct GoldenRow {
 const GoldenRow kGolden[] = {
     // clang-format off
     {"lazy-minmin", 0x1.f4e434a9b1007p+4, 1,
-     962, 72, 626, 886, 0, 0, 0, 0, 0, 0, 0,
-     0x1.2cap+34, 0x1.68p+30, 0x0p+0, 0x0p+0, 0x0p+0,
+     962, 72, 626, 886, 0, 0, 0, 0, 0, 0, 0, 0,
+     0x1.2cap+34, 0x1.68p+30, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0,
      0, 0, 0, 0x7ac8091cedd1a1a9ull},
     {"lazy-minmin-crash", 0x1.fd93bfa2608b3p+4, 2,
-     972, 55, 619, 897, 0, 1, 1, 0, 0, 0, 0,
-     0x1.2fcp+34, 0x1.13p+30, 0x0p+0, 0x0p+0, 0x0p+0,
+     972, 55, 619, 897, 0, 1, 1, 0, 0, 0, 0, 0,
+     0x1.2fcp+34, 0x1.13p+30, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0,
      0, 0, 0, 0x10a5e616ae2e3707ull},
     {"jdp-crash", 0x1.3a59999999996p+8, 2,
-     76, 28, 0, 79, 0, 1, 1, 0, 0, 0, 0,
-     0x1.dbp+31, 0x1.5ep+30, 0x0p+0, 0x0p+0, 0x0p+0,
+     76, 28, 0, 79, 0, 1, 1, 0, 0, 0, 0, 0,
+     0x1.dbp+31, 0x1.5ep+30, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0,
      0, 0, 0, 0xd0e1d77f5c74703aull},
     {"ip-crash", 0x1.0652e52e52e53p+3, 2,
-     46, 5, 0, 24, 0, 1, 1, 0, 0, 0, 0,
-     0x1.1f8p+31, 0x1.f4p+27, 0x0p+0, 0x0p+0, 0x0p+0,
+     46, 5, 0, 24, 0, 1, 1, 0, 0, 0, 0, 0,
+     0x1.1f8p+31, 0x1.f4p+27, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0,
      3192, 204, 0, 0xce0bcdd98d88a28ull},
     {"bipartition-faults-rf", 0x1.066859b8cebfcp+5, 8,
-     325, 18, 303, 141, 4, 1, 1, 0, 0, 49, 0,
+     325, 18, 303, 141, 4, 1, 1, 0, 0, 49, 0, 0,
      0x1.964p+33, 0x1.68p+29, 0x1.6186186186186p+1, 0x0p+0, 0x1.eap+30,
+     0x1.2aaaaaaaaaaabp+3,
      0, 0, 0, 0x25b0cf945a39d0f8ull},
     {"minmin-speculation", 0x1.57a0095cbec1bp+4, 1,
-     91, 0, 0, 48, 0, 0, 0, 7, 7, 0, 0,
-     0x1.6cp+32, 0x0p+0, 0x0p+0, 0x1.27e322092ad03p+3, 0x0p+0,
+     91, 0, 0, 48, 0, 0, 0, 7, 7, 0, 0, 0,
+     0x1.6cp+32, 0x0p+0, 0x0p+0, 0x1.27e322092ad03p+3, 0x0p+0, 0x0p+0,
      0, 0, 0, 0x92edbf6eee695289ull},
+    {"bipartition-writes-repair", 0x1.820da90c98cb1p+4, 2,
+     74, 43, 18, 174, 0, 1, 1, 0, 0, 11, 18, 1,
+     0x1.77453a8a768cbp+31, 0x1.b358b9e5f38d8p+30, 0x0p+0, 0x0p+0,
+     0x1.2453b490d54dbp+30, 0x1.d3b920e7bbaf9p+4,
+     0, 0, 2, 0x265911b65724b763ull},
     // clang-format on
 };
 
@@ -220,11 +258,13 @@ TEST(SessionGoldens, RunBatchReproducesPreFoldDriver) {
       EXPECT_EQ(s.speculative_wins, g.speculative_wins);
       EXPECT_EQ(s.replicas_created, g.replicas_created);
       EXPECT_EQ(s.home_flushes, g.home_flushes);
+      EXPECT_EQ(s.lost_versions, g.lost_versions);
       EXPECT_EQ(s.remote_bytes, g.remote_bytes);
       EXPECT_EQ(s.replica_bytes, g.replica_bytes);
       EXPECT_EQ(s.recovery_seconds, g.recovery_seconds);
       EXPECT_EQ(s.wasted_seconds, g.wasted_seconds);
       EXPECT_EQ(s.repair_bytes, g.repair_bytes);
+      EXPECT_EQ(s.repair_seconds, g.repair_seconds);
       EXPECT_EQ(s.lp_pivots, g.lp_pivots);
       EXPECT_EQ(s.mip_nodes, g.mip_nodes);
       EXPECT_EQ(r.replica_deficit, g.replica_deficit);

@@ -20,7 +20,7 @@
 // --max-point-seconds / --max-rss-mb turn the sweep into an acceptance
 // gate: any point whose planning time or the process's peak RSS exceeds
 // the ceiling fails the run. --threads re-runs every point at each listed
-// work-stealing thread count and adds a speedup_vs_1t column per row (the
+// planning thread count and adds a speedup_vs_1t column per row (the
 // first listed count is the baseline).
 
 #include <chrono>

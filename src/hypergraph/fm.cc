@@ -83,10 +83,11 @@ class FmPass {
     tie_.assign(nv, 0.0);
     heap_ = {};
     // Initial gains are pure functions of the (frozen) pin counts, so the
-    // per-vertex computation fans out on the work-stealing runtime; the rng draws and
-    // heap pushes stay sequential in vertex order, keeping every pass
-    // bit-identical at any thread count. When this pass already runs inside
-    // a parallel recursive-bisection branch the runtime reuses the worker's own deque.
+    // per-vertex computation fans out on the planners' runtime; the rng
+    // draws and heap pushes stay sequential in vertex order, keeping every
+    // pass bit-identical at any thread count. When this pass already runs
+    // inside a parallel recursive-bisection branch, its loop nests: the
+    // branch's thread opens it on the runtime and helps run it.
     WsRuntime::global().parallel_for_each(
         nv, [this](std::size_t v) {
           gain_[v] = compute_gain(static_cast<VertexId>(v));

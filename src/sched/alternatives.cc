@@ -12,35 +12,25 @@ namespace {
 
 struct NodeChoice {
   wl::NodeId node = 0;
-  CompletionEstimate est;
+  double completion = std::numeric_limits<double>::infinity();
   double second_best = std::numeric_limits<double>::infinity();
 };
 
+// Best node of `task` under mct_beats, from its MCT row (`row` holds
+// nodes.size() slots), plus the runner-up completion Sufferage needs.
 NodeChoice evaluate(const wl::Workload& w, const sim::Topology& topo,
                     const PlannerState& ps, wl::TaskId task,
-                    const std::vector<wl::NodeId>& nodes) {
+                    const std::vector<wl::NodeId>& nodes, double* row) {
+  estimate_completion_row(w, topo, ps, task, nodes, row);
   NodeChoice out;
   out.node = nodes.front();
-  double best = std::numeric_limits<double>::infinity();
-  for (wl::NodeId n : nodes) {
-    CompletionEstimate est = estimate_completion(w, topo, ps, task, n);
-    // Near-ties go to the least-loaded node (storage-dominated estimates
-    // make nodes look alike; see the MinMin tie-break rationale).
-    const bool first = std::isinf(best);
-    const double tol = first ? 0.0 : 1e-9 * (1.0 + best);
-    if (first || est.completion < best - tol) {
-      out.second_best = best;
-      best = est.completion;
-      out.node = n;
-      out.est = std::move(est);
-    } else if (est.completion < best + tol &&
-               ps.node_ready[n] < ps.node_ready[out.node] - 1e-12) {
-      out.second_best = best;
-      best = est.completion;
-      out.node = n;
-      out.est = std::move(est);
-    } else if (est.completion < out.second_best) {
-      out.second_best = est.completion;
+  for (std::size_t j = 0; j < nodes.size(); ++j) {
+    if (mct_beats(ps, row[j], nodes[j], out.completion, out.node)) {
+      out.second_best = out.completion;
+      out.completion = row[j];
+      out.node = nodes[j];
+    } else if (row[j] < out.second_best) {
+      out.second_best = row[j];
     }
   }
   return out;
@@ -59,20 +49,22 @@ sim::SubBatchPlan greedy_commit(const std::vector<wl::TaskId>& pending,
 
   sim::SubBatchPlan plan;
   std::vector<wl::TaskId> todo = pending;
+  std::vector<double> row(nodes.size());
   while (!todo.empty()) {
     std::size_t best_i = 0;
     NodeChoice best_choice;
-    bool first = true;
     for (std::size_t i = 0; i < todo.size(); ++i) {
-      NodeChoice choice = evaluate(w, topo, ps, todo[i], nodes);
-      if (first || prefer(choice, best_choice)) {
-        first = false;
+      const NodeChoice choice =
+          evaluate(w, topo, ps, todo[i], nodes, row.data());
+      if (i == 0 || prefer(choice, best_choice)) {
         best_i = i;
-        best_choice = std::move(choice);
+        best_choice = choice;
       }
     }
     const wl::TaskId task = todo[best_i];
-    apply_assignment(w, topo, ps, task, best_choice.node, best_choice.est);
+    const CompletionEstimate est =
+        estimate_completion(w, topo, ps, task, best_choice.node);
+    apply_assignment(w, topo, ps, task, best_choice.node, est);
     plan.tasks.push_back(task);
     plan.assignment[task] = best_choice.node;
     todo.erase(todo.begin() + best_i);
@@ -87,7 +79,7 @@ sim::SubBatchPlan SufferageScheduler::plan_sub_batch(
   auto sufferage = [](const NodeChoice& ch) {
     return std::isinf(ch.second_best)
                ? std::numeric_limits<double>::infinity()  // only one node
-               : ch.second_best - ch.est.completion;
+               : ch.second_best - ch.completion;
   };
   return greedy_commit(pending, ctx,
                        [&](const NodeChoice& a, const NodeChoice& b) {
@@ -99,7 +91,7 @@ sim::SubBatchPlan MaxMinScheduler::plan_sub_batch(
     const std::vector<wl::TaskId>& pending, const SchedulerContext& ctx) {
   return greedy_commit(pending, ctx,
                        [](const NodeChoice& a, const NodeChoice& b) {
-                         return a.est.completion > b.est.completion;
+                         return a.completion > b.completion;
                        });
 }
 

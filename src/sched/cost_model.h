@@ -24,6 +24,7 @@
 // batch left on the session's one engine price as local/replica reads.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -158,6 +159,22 @@ std::size_t estimate_completion_row(const wl::Workload& w,
                                     const PlannerState& ps, wl::TaskId task,
                                     const std::vector<wl::NodeId>& nodes,
                                     double* ct);
+
+// The MCT node-choice rule MinMin, Sufferage and MaxMin share: completion
+// `ct` on `node` beats the incumbent `best_ct` on `best_node` when it is
+// lower by more than a relative tolerance of 1e-9 * (1 + best_ct), or is a
+// near-tie within that tolerance on a node whose node_ready is lower by
+// more than 1e-12 (storage-dominated estimates make nodes look alike, and
+// classic MinMin sends near-ties to the least-loaded node). Remaining ties
+// keep the incumbent. An infinite best_ct means no incumbent yet.
+inline bool mct_beats(const PlannerState& ps, double ct, wl::NodeId node,
+                      double best_ct, wl::NodeId best_node) {
+  if (std::isinf(best_ct)) return true;
+  const double tol = 1e-9 * (1.0 + best_ct);
+  return ct < best_ct - tol ||
+         (ct < best_ct + tol &&
+          ps.node_ready[node] < ps.node_ready[best_node] - 1e-12);
+}
 
 // Applies the estimate: bumps port readies and records new file locations.
 void apply_assignment(const wl::Workload& w, const sim::Topology& topo,

@@ -59,7 +59,7 @@ sim::SubBatchPlan JobDataPresentScheduler::plan_sub_batch(
   // up front (the paper's replacement for [13]'s FIFO; JDP stays a cheap
   // one-pass dynamic scheme, unlike MinMin's quadratic re-evaluation). Each
   // task's MCT row (estimate_completion_row) is independent and read-only
-  // against ps, so the sweep runs on the work-stealing runtime; the per-task
+  // against ps, so the sweep runs on the planners' runtime; the per-task
   // min over the row and the sort stay in the historical order, keeping
   // plans bit-identical at any thread count. ---
   std::vector<double> ect(pending.size());

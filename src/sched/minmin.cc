@@ -1,6 +1,5 @@
 #include "sched/minmin.h"
 
-#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <queue>
@@ -15,26 +14,26 @@ namespace bsio::sched {
 
 namespace {
 
-// Folds per-node completion times exactly like the historical sequential
-// scan: a candidate wins on strict improvement beyond the relative
-// tolerance; near-ties (storage-dominated estimates make nodes look alike)
-// go to the least-loaded node, as in classic MinMin; remaining ties to the
-// earlier node. `ct[j]` must be estimate_completion_time on nodes[j].
+// Compiler barrier for the argmin folds below. Without it GCC 12 (-O3,
+// x86-64) turns the rare "new best" update into a select, which chains
+// every node's mct_beats on the previous one; on perfbench's wide-planner
+// (256 nodes, rows of near-tie values) that made planning 30-40% slower
+// than a predicted branch on a 4-core x86-64 host.
+inline void keep_branch() { asm volatile("" ::: "memory"); }
+
+// Folds per-node completion times in node order under mct_beats; exact
+// ties go to the earlier node. `ct[j]` must be estimate_completion_time on
+// nodes[j].
 std::pair<wl::NodeId, double> fold_best_node(
     const PlannerState& ps, const std::vector<wl::NodeId>& nodes,
     const double* ct) {
   wl::NodeId best_node = nodes.front();
   double best_ct = std::numeric_limits<double>::infinity();
   for (std::size_t j = 0; j < nodes.size(); ++j) {
-    const bool first = std::isinf(best_ct);
-    const double tol = first ? 0.0 : 1e-9 * (1.0 + best_ct);
-    const bool better =
-        first || ct[j] < best_ct - tol ||
-        (ct[j] < best_ct + tol &&
-         ps.node_ready[nodes[j]] < ps.node_ready[best_node] - 1e-12);
-    if (better) {
+    if (mct_beats(ps, ct[j], nodes[j], best_ct, best_node)) {
       best_node = nodes[j];
       best_ct = ct[j];
+      keep_branch();
     }
   }
   return {best_node, best_ct};
@@ -177,16 +176,11 @@ void minmin_plan_into(const wl::Workload& w, const sim::Topology& topo,
     for (std::size_t a = 0; a < A; ++a) {
       for (std::size_t j = 0; j < N; ++j) {
         const double cand = ct[a * N + j];
-        const bool first = std::isinf(best_ct);
-        const double tol = first ? 0.0 : 1e-9 * (1.0 + best_ct);
-        const bool better =
-            first || cand < best_ct - tol ||
-            (cand < best_ct + tol &&
-             ps.node_ready[nodes[j]] < ps.node_ready[best_node] - 1e-12);
-        if (better) {
+        if (mct_beats(ps, cand, nodes[j], best_ct, best_node)) {
           best_ct = cand;
           best_a = a;
           best_node = nodes[j];
+          keep_branch();
         }
       }
     }

@@ -178,14 +178,6 @@ class ExecutionEngine {
   ExecutionEngine(const ClusterConfig& cluster, const wl::Workload& workload,
                   EngineOptions options = {});
 
-  // Pre-populates the disk caches with the given copies (test fixtures
-  // that need a replica in place before the first plan). Must be called
-  // before the first execute(); entries must name known files and alive
-  // compute nodes, fit each node's capacity, and not repeat a (node, file)
-  // pair. Availability and last-use stamps are applied verbatim. On error
-  // nothing is seeded.
-  Status seed_cache(const InitialCacheState& seed);
-
   // Executes one sub-batch plan on top of the current cluster state; returns
   // the stats of this call. A malformed plan (unknown task/node ids, a task
   // already executed, a missing assignment, work placed on a crashed node, a
@@ -450,7 +442,6 @@ class ExecutionEngine {
   std::vector<char> home_valid_;
   std::vector<bool> executed_;
   std::vector<bool> was_evicted_;  // per file: evicted at least once
-  bool started_ = false;           // an execute() call has run
   // Wall-clock floor of the plan currently executing (SubBatchPlan::
   // release_time); 0 outside streaming windows. Consulted everywhere a new
   // reservation or ECT cursor starts from a compute-node horizon.

@@ -66,20 +66,6 @@ void ClusterState::add(wl::NodeId node, wl::FileId file, double size_bytes,
   it->second.last_use = std::max(it->second.last_use, avail_time);
 }
 
-void ClusterState::restore(wl::NodeId node, wl::FileId file,
-                           double size_bytes, double avail_time,
-                           double last_use) {
-  auto [it, inserted] = caches_[node].try_emplace(file);
-  if (inserted) {
-    used_[node] += size_bytes;
-    BSIO_CHECK_MSG(used_[node] <= capacity_[node] + 1.0,
-                   "disk capacity exceeded: the seed must fit the node");
-    index_add(node, file);
-  }
-  it->second.avail_time = avail_time;
-  it->second.last_use = last_use;
-}
-
 void ClusterState::remove(wl::NodeId node, wl::FileId file,
                           double size_bytes) {
   auto it = caches_[node].find(file);
@@ -149,13 +135,6 @@ std::vector<wl::FileId> ClusterState::select_victims(
   }
   if (freed < need_bytes) return {};  // cannot satisfy
   return victims;
-}
-
-std::vector<wl::FileId> ClusterState::files_on(wl::NodeId node) const {
-  std::vector<wl::FileId> out;
-  out.reserve(caches_[node].size());
-  for (const auto& [file, entry] : caches_[node]) out.push_back(file);
-  return out;
 }
 
 }  // namespace bsio::sim

@@ -23,22 +23,6 @@ enum class EvictionPolicy {
   kSizeAscending,  // smallest file first (ablation)
 };
 
-class ClusterState;
-
-// A cache seed: per-(node, file) copies with their availability and
-// last-use stamps, installed by ExecutionEngine::seed_cache before the
-// first execute().
-struct CacheSeedEntry {
-  wl::NodeId node = wl::kInvalidNode;
-  wl::FileId file = wl::kInvalidFile;
-  double avail_time = 0.0;  // when the copy becomes readable
-  double last_use = 0.0;    // LRU stamp
-};
-
-struct InitialCacheState {
-  std::vector<CacheSeedEntry> entries;
-};
-
 class ClusterState {
  public:
   // Uniform capacity on every node.
@@ -66,10 +50,6 @@ class ClusterState {
 
   void add(wl::NodeId node, wl::FileId file, double size_bytes,
            double avail_time);
-  // Like add(), but restores an explicit last-use stamp instead of coupling
-  // it to avail_time — the seeding path (ExecutionEngine::seed_cache).
-  void restore(wl::NodeId node, wl::FileId file, double size_bytes,
-               double avail_time, double last_use);
   void remove(wl::NodeId node, wl::FileId file, double size_bytes);
   // Drops every file cached on `node` (crash recovery); returns the bytes
   // lost.
@@ -88,16 +68,13 @@ class ClusterState {
       const std::function<double(wl::FileId)>& pending_freq,
       const std::function<double(wl::FileId)>& file_size) const;
 
-  // All files cached on a node (unordered).
-  std::vector<wl::FileId> files_on(wl::NodeId node) const;
-
  private:
   struct Entry {
     double avail_time = 0.0;
     double last_use = 0.0;
   };
 
-  // Inverted-index maintenance shared by add/restore/remove/clear_node.
+  // Inverted-index maintenance shared by add/remove/clear_node.
   void index_add(wl::NodeId node, wl::FileId file);
   void index_remove(wl::NodeId node, wl::FileId file);
 

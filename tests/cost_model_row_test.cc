@@ -207,7 +207,7 @@ TEST(CostModelRow, NodeReadyAtTheBoundaryAndOneUlpAround) {
 }
 
 TEST(CostModelRow, ConcurrentRowsMatchSerialRows) {
-  // One row per task on the work-stealing runtime against one shared state,
+  // One row per task on the planners' runtime against one shared state,
   // the shape of MinMin's lazy initial sweep and JobDataPresent's ECT sweep.
   const sim::ClusterConfig c = sim::osumed_cluster(12, 4);
   const sim::Topology topo(c);

@@ -294,7 +294,7 @@ TEST(FaultInjection, CrashDropsReplicasAndOrphansTasks) {
   EXPECT_FALSE(eng.node_alive(0));
   EXPECT_TRUE(eng.node_alive(1));
   EXPECT_EQ(eng.alive_count(), 1u);
-  EXPECT_TRUE(eng.state().files_on(0).empty());  // replicas gone
+  EXPECT_EQ(eng.state().used_bytes(0), 0.0);  // replicas gone
 
   auto orphaned = eng.take_orphaned();
   ASSERT_EQ(orphaned.size(), 2u);
@@ -441,7 +441,7 @@ TEST(FaultInjection, CrashDuringInFlightTransferOrphansCleanly) {
   EXPECT_EQ(stats.tasks_executed, 0u);
   EXPECT_EQ(stats.remote_transfers, 1u);  // in flight when the node died
   EXPECT_EQ(stats.task_reexecutions, 1u);
-  EXPECT_TRUE(eng.state().files_on(0).empty());  // the copy died with it
+  EXPECT_EQ(eng.state().used_bytes(0), 0.0);  // the copy died with it
 
   const auto orphaned = eng.take_orphaned();
   ASSERT_EQ(orphaned.size(), 1u);

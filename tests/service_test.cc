@@ -1,7 +1,6 @@
 // Service layer tests: arrivals, admission, the stream service at the
 // batch barrier (max_live_batches = 1) against a cold run_batch per batch,
-// its backpressure and input checks, the engine's cache seeding, and the
-// scheduler stats-reuse guard.
+// its backpressure and input checks, and the scheduler stats-reuse guard.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +8,6 @@
 #include <cmath>
 #include <fstream>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "sched/driver.h"
@@ -56,75 +54,6 @@ sim::ClusterConfig test_cluster(double disk_capacity = sim::kUnlimited) {
   c.local_disk_bw = 200.0 * sim::kMB;
   c.disk_capacity = disk_capacity;
   return c;
-}
-
-// Drives `pending` to completion on `eng` with `s`, straight through
-// Scheduler::plan_sub_batch and ExecutionEngine::execute.
-void drain(sched::Scheduler& s, sim::ExecutionEngine& eng,
-           const wl::Workload& w, const sim::ClusterConfig& c,
-           std::vector<wl::TaskId> pending) {
-  sched::SchedulerContext ctx(w, c, eng);
-  while (!pending.empty()) {
-    ctx.refresh_alive();
-    sim::SubBatchPlan plan = s.plan_sub_batch(pending, ctx);
-    auto r = eng.execute(plan);
-    ASSERT_TRUE(r.ok()) << r.error().message;
-    std::unordered_set<wl::TaskId> done(plan.tasks.begin(), plan.tasks.end());
-    std::erase_if(pending, [&](wl::TaskId t) { return done.count(t) > 0; });
-  }
-}
-
-// ------------------------------------------------------------ cache seeding
-
-TEST(SeedCache, RejectsMalformedSeeds) {
-  const std::vector<wl::FileInfo> catalog = test_catalog();
-  const wl::Workload w =
-      service::make_service_batch(catalog, test_batch_cfg(4), 43);
-  const sim::ClusterConfig c = test_cluster(100.0 * sim::kMB);
-
-  auto expect_rejected = [&](const sim::InitialCacheState& seed) {
-    sim::ExecutionEngine eng(c, w);
-    const Status s = eng.seed_cache(seed);
-    EXPECT_FALSE(s.ok());
-    // Failed validation must seed nothing.
-    for (const auto& e : seed.entries) {
-      if (e.node < c.num_compute_nodes && e.file < w.num_files()) {
-        EXPECT_FALSE(eng.state().has(e.node, e.file));
-      }
-    }
-  };
-
-  sim::InitialCacheState bad_file;
-  bad_file.entries = {{0, static_cast<wl::FileId>(w.num_files()), 0.0, 0.0}};
-  expect_rejected(bad_file);
-
-  sim::InitialCacheState bad_node;
-  bad_node.entries = {{static_cast<wl::NodeId>(c.num_compute_nodes), 0, 0.0,
-                       0.0}};
-  expect_rejected(bad_node);
-
-  sim::InitialCacheState negative;
-  negative.entries = {{0, 0, -1.0, 0.0}};
-  expect_rejected(negative);
-
-  sim::InitialCacheState dup;
-  dup.entries = {{0, 0, 0.0, 0.0}, {0, 0, 0.0, 0.0}};
-  expect_rejected(dup);
-
-  sim::InitialCacheState overflow;  // every file on one 100 MB node
-  for (wl::FileId f = 0; f < w.num_files(); ++f)
-    overflow.entries.push_back({0, f, 0.0, 0.0});
-  expect_rejected(overflow);
-
-  // Seeding after execution has started is a typed error too.
-  sched::MinMinScheduler mm;
-  sim::ExecutionEngine eng(test_cluster(), w);
-  std::vector<wl::TaskId> pending;
-  for (const auto& t : w.tasks()) pending.push_back(t.id);
-  drain(mm, eng, w, test_cluster(), pending);
-  sim::InitialCacheState ok_seed;
-  ok_seed.entries = {{0, 0, 0.0, 0.0}};
-  EXPECT_FALSE(eng.seed_cache(ok_seed).ok());
 }
 
 // --------------------------------------------------------------- arrivals

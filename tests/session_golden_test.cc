@@ -11,8 +11,11 @@
 // that the table needs regenerating. The write/repair row was recorded
 // before the engine's foreground staging, background repair and write-back
 // flush were folded onto one copy pricer: it pins flush_to_home, capped
-// stage_replica and a stale-home read that counts lost_versions. Each row
-// must hold at 1, 2 and 8 planning threads.
+// stage_replica and a stale-home read that counts lost_versions. The
+// Sufferage and MaxMin rows were recorded before their per-node
+// estimate_completion calls became one estimate_completion_row per task
+// and their tie rule became the one MinMin uses. Each row must hold at 1,
+// 2 and 8 planning threads.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "sched/alternatives.h"
 #include "sched/bipartition.h"
 #include "sched/driver.h"
 #include "sched/ip_scheduler.h"
@@ -152,6 +156,27 @@ std::vector<GoldenCase> golden_cases() {
     c.options.replication.repair_bandwidth_cap = 40.0 * sim::kMB;
     cases.push_back(std::move(c));
   }
+  {
+    // Sufferage and MaxMin under a crash and on limited disks: their MCT
+    // rows, the shared node-choice tie rule and crash-orphan re-planning.
+    GoldenCase c{"sufferage-crash", synthetic(80, 3, 0.6, 40.0, 13),
+                 sim::xio_cluster(6, 4), {}, [] {
+                   return std::make_unique<sched::SufferageScheduler>();
+                 }};
+    c.cluster.disk_capacity = 0.8 * sim::kGB;
+    c.options.faults.compute_crashes = {{2, 5.0}};
+    cases.push_back(std::move(c));
+  }
+  {
+    GoldenCase c{"maxmin-retries", synthetic(80, 4, 0.7, 40.0, 19),
+                 sim::osumed_cluster(4, 4), {}, [] {
+                   return std::make_unique<sched::MaxMinScheduler>();
+                 }};
+    c.options.faults.seed = 5;
+    c.options.faults.transfer_failure_prob = 0.01;
+    c.options.faults.compute_crashes = {{0, 30.0}};
+    cases.push_back(std::move(c));
+  }
   return cases;
 }
 
@@ -225,6 +250,14 @@ const GoldenRow kGolden[] = {
      0x1.77453a8a768cbp+31, 0x1.b358b9e5f38d8p+30, 0x0p+0, 0x0p+0,
      0x1.2453b490d54dbp+30, 0x1.d3b920e7bbaf9p+4,
      0, 0, 2, 0x265911b65724b763ull},
+    {"sufferage-crash", 0x1.601767dce4343p+4, 2,
+     134, 1, 62, 108, 0, 1, 1, 0, 0, 0, 0, 0,
+     0x1.4fp+32, 0x1.4p+25, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0,
+     0, 0, 0, 0x9752ccdc16959d0dull},
+    {"maxmin-retries", 0x1.57b851eb851dfp+8, 2,
+     101, 71, 0, 152, 4, 1, 1, 0, 0, 0, 0, 0,
+     0x1.f9p+31, 0x1.63p+31, 0x1.7333333333334p+2, 0x0p+0, 0x0p+0, 0x0p+0,
+     0, 0, 0, 0x2dd657631b78ca8dull},
     // clang-format on
 };
 

@@ -64,11 +64,11 @@ wl::Workload shared_workload(std::uint64_t seed = 23) {
   return wl::make_synthetic(cfg);
 }
 
-// Seed one 100 MB file replica, available from t = 0.
-sim::InitialCacheState seed_one(wl::NodeId node, wl::FileId file) {
-  sim::InitialCacheState s;
-  s.entries.push_back({node, file, 0.0, 0.0});
-  return s;
+// Places a replica of `file` on `node` before the first plan, readable
+// (and last used) at t = 0.
+void seed_one(sim::ExecutionEngine& eng, const wl::Workload& w,
+              wl::NodeId node, wl::FileId file) {
+  eng.state().add(node, file, w.file_size(file), 0.0);
 }
 
 // --- Configuration validation. ---
@@ -166,8 +166,7 @@ TEST(Speculation, DuplicateWinsAndLoserIsCancelled) {
   opts.speculation.enabled = true;
   opts.speculation.straggler_ratio = 1.5;
   sim::ExecutionEngine eng(spec_cluster(), w, opts);
-  const auto seed = seed_one(1, 0);
-  ASSERT_TRUE(eng.seed_cache(seed).ok());
+  seed_one(eng, w, 1, 0);
 
   sim::SubBatchPlan p;
   p.tasks = {0};
@@ -207,8 +206,7 @@ TEST(Speculation, InFlightTransferIsTruncatedAndRolledBack) {
   opts.speculation.enabled = true;
   opts.speculation.straggler_ratio = 1.5;
   sim::ExecutionEngine eng(c, w, opts);
-  const auto seed = seed_one(1, 0);
-  ASSERT_TRUE(eng.seed_cache(seed).ok());
+  seed_one(eng, w, 1, 0);
 
   sim::SubBatchPlan p;
   p.tasks = {0};
@@ -259,8 +257,7 @@ TEST(Speculation, PrimaryCrashBackupCompletes) {
   sim::ClusterConfig c = spec_cluster();
   c.allow_replication = false;  // primary stages remotely: est 3.1 vs 2.1
   sim::ExecutionEngine eng(c, w, opts);
-  const auto seed = seed_one(1, 0);
-  ASSERT_TRUE(eng.seed_cache(seed).ok());
+  seed_one(eng, w, 1, 0);
 
   sim::SubBatchPlan p;
   p.tasks = {0};
@@ -287,8 +284,7 @@ TEST(Speculation, BothAttemptsCrashOrphansTaskOnce) {
   sim::ClusterConfig c = spec_cluster();
   c.allow_replication = false;
   sim::ExecutionEngine eng(c, w, opts);
-  const auto seed = seed_one(1, 0);
-  ASSERT_TRUE(eng.seed_cache(seed).ok());
+  seed_one(eng, w, 1, 0);
 
   sim::SubBatchPlan p;
   p.tasks = {0};

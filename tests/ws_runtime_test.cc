@@ -1,11 +1,13 @@
-// Tests for the work-stealing runtime: coverage under adversarial steal
-// schedules, randomly nested parallel_for trees, and BSIO_THREADS parsing.
+// Tests for the planners' fork-join runtime: randomly nested parallel_for
+// trees, concurrent external callers, loops that call into another
+// runtime, and BSIO_THREADS parsing.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/rng.h"
@@ -45,76 +47,106 @@ void visit_tree(WsRuntime* rt, std::uint64_t seed, int depth,
 TEST(WsRuntimeStress, RandomizedNestedTaskGraphs) {
   Rng rng(20240808);
   for (std::size_t threads : {1u, 2u, 4u, 8u}) {
-    for (bool force_steal : {false, true}) {
-      WsRuntime::Options o;
-      o.force_steal = force_steal;
-      WsRuntime rt(threads, o);
-      for (int round = 0; round < 8; ++round) {
-        const std::uint64_t seed = rng();
-        const std::size_t roots = 1 + rng.uniform(40);
-        const int depth = static_cast<int>(rng.uniform(5));
-        TreeTally want, got;
-        for (std::size_t r = 0; r < roots; ++r)
-          visit_tree(nullptr, hash_mix(seed + r), depth, want);
-        rt.parallel_for_each(roots, [&](std::size_t r) {
-          visit_tree(&rt, hash_mix(seed + r), depth, got);
-        });
-        EXPECT_EQ(got.nodes.load(), want.nodes.load())
-            << "threads=" << threads << " steal=" << force_steal
-            << " round=" << round;
-        EXPECT_EQ(got.checksum.load(), want.checksum.load())
-            << "threads=" << threads << " steal=" << force_steal
-            << " round=" << round;
-      }
+    WsRuntime rt(threads);
+    for (int round = 0; round < 16; ++round) {
+      const std::uint64_t seed = rng();
+      const std::size_t roots = 1 + rng.uniform(40);
+      const int depth = static_cast<int>(rng.uniform(5));
+      TreeTally want, got;
+      for (std::size_t r = 0; r < roots; ++r)
+        visit_tree(nullptr, hash_mix(seed + r), depth, want);
+      rt.parallel_for_each(roots, [&](std::size_t r) {
+        visit_tree(&rt, hash_mix(seed + r), depth, got);
+      });
+      EXPECT_EQ(got.nodes.load(), want.nodes.load())
+          << "threads=" << threads << " round=" << round;
+      EXPECT_EQ(got.checksum.load(), want.checksum.load())
+          << "threads=" << threads << " round=" << round;
     }
   }
 }
 
 TEST(WsRuntimeStress, ParallelForInsideSpawnedJobs) {
-  // A parallel_for issued from inside a running chunk must nest (push to
-  // the worker's own deque and help), not deadlock or double-run indices —
-  // at every thread count, under both steal preferences, for random outer
-  // and inner ranges (including empty and single-index inner loops).
+  // A parallel_for issued from inside a running chunk must nest (open its
+  // own loop and help), not deadlock or double-run indices — at every
+  // thread count, for random outer and inner ranges (including empty and
+  // single-index inner loops).
   Rng rng(4711);
   for (std::size_t threads : {1u, 2u, 4u, 8u}) {
-    for (bool force_steal : {false, true}) {
-      WsRuntime::Options o;
-      o.force_steal = force_steal;
-      WsRuntime rt(threads, o);
-      for (int round = 0; round < 4; ++round) {
-        const std::size_t n = 1 + rng.uniform(64);
-        std::vector<std::size_t> m(n), offset(n + 1, 0);
-        for (std::size_t i = 0; i < n; ++i) {
-          m[i] = rng.uniform(130);
-          offset[i + 1] = offset[i] + m[i];
-        }
-        std::vector<std::atomic<int>> hits(offset[n]);
-        for (auto& h : hits) h = 0;
-        rt.parallel_for_each(n, [&](std::size_t i) {
-          rt.parallel_for_each(m[i], [&](std::size_t j) {
-            hits[offset[i] + j].fetch_add(1, std::memory_order_relaxed);
-          });
-        });
-        for (std::size_t k = 0; k < hits.size(); ++k)
-          ASSERT_EQ(hits[k].load(), 1)
-              << "threads=" << threads << " steal=" << force_steal
-              << " round=" << round << " k=" << k;
+    WsRuntime rt(threads);
+    for (int round = 0; round < 8; ++round) {
+      const std::size_t n = 1 + rng.uniform(64);
+      std::vector<std::size_t> m(n), offset(n + 1, 0);
+      for (std::size_t i = 0; i < n; ++i) {
+        m[i] = rng.uniform(130);
+        offset[i + 1] = offset[i] + m[i];
       }
+      std::vector<std::atomic<int>> hits(offset[n]);
+      for (auto& h : hits) h = 0;
+      rt.parallel_for_each(n, [&](std::size_t i) {
+        rt.parallel_for_each(m[i], [&](std::size_t j) {
+          hits[offset[i] + j].fetch_add(1, std::memory_order_relaxed);
+        });
+      });
+      for (std::size_t k = 0; k < hits.size(); ++k)
+        ASSERT_EQ(hits[k].load(), 1)
+            << "threads=" << threads << " round=" << round << " k=" << k;
     }
   }
 }
 
-TEST(WsRuntime, ForceStealCoversEveryIndexOnce) {
-  WsRuntime::Options o;
-  o.force_steal = true;
-  WsRuntime rt(4, o);
-  std::vector<std::atomic<int>> hits(1000);
-  for (auto& h : hits) h = 0;
-  rt.parallel_for_each(hits.size(), [&](std::size_t i) {
-    hits[i].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (std::size_t i = 0; i < hits.size(); ++i)
-    EXPECT_EQ(hits[i].load(), 1) << i;
+TEST(WsRuntimeStress, ConcurrentExternalCallersShareOneRuntime) {
+  // Two threads outside the runtime issue loops on it at the same time;
+  // their chunks interleave on the shared list, and each loop must still
+  // cover its own range exactly once.
+  constexpr std::size_t kCallers = 2;
+  constexpr int kRounds = 50;
+  for (std::size_t threads : {1u, 2u, 4u, 8u}) {
+    WsRuntime rt(threads);
+    std::vector<std::vector<std::atomic<int>>> hits(kCallers);
+    for (auto& h : hits) {
+      h = std::vector<std::atomic<int>>(1000);
+      for (auto& x : h) x = 0;
+    }
+    std::vector<std::thread> callers;
+    for (std::size_t t = 0; t < kCallers; ++t)
+      callers.emplace_back([&rt, &hits, t] {
+        for (int round = 0; round < kRounds; ++round)
+          rt.parallel_for_each(hits[t].size(), [&](std::size_t i) {
+            hits[t][i].fetch_add(1, std::memory_order_relaxed);
+          });
+      });
+    for (auto& c : callers) c.join();
+    for (std::size_t t = 0; t < kCallers; ++t)
+      for (std::size_t i = 0; i < hits[t].size(); ++i)
+        ASSERT_EQ(hits[t][i].load(), kRounds)
+            << "threads=" << threads << " caller=" << t << " i=" << i;
+  }
+}
+
+TEST(WsRuntimeStress, ChunkCallsIntoAnotherRuntime) {
+  // A chunk of runtime A opens a loop on runtime B and helps there; B's
+  // workers and A's threads then share B's loops.
+  Rng rng(99);
+  for (std::size_t threads : {1u, 2u, 4u, 8u}) {
+    WsRuntime a(threads);
+    WsRuntime b(threads);
+    const std::size_t n = 1 + rng.uniform(48);
+    std::vector<std::size_t> m(n), offset(n + 1, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      m[i] = rng.uniform(100);
+      offset[i + 1] = offset[i] + m[i];
+    }
+    std::vector<std::atomic<int>> hits(offset[n]);
+    for (auto& h : hits) h = 0;
+    a.parallel_for_each(n, [&](std::size_t i) {
+      b.parallel_for_each(m[i], [&](std::size_t j) {
+        hits[offset[i] + j].fetch_add(1, std::memory_order_relaxed);
+      });
+    });
+    for (std::size_t k = 0; k < hits.size(); ++k)
+      ASSERT_EQ(hits[k].load(), 1) << "threads=" << threads << " k=" << k;
+  }
 }
 
 // ------------------------------------------------------------ BSIO_THREADS

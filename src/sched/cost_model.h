@@ -176,6 +176,15 @@ inline bool mct_beats(const PlannerState& ps, double ct, wl::NodeId node,
           ps.node_ready[node] < ps.node_ready[best_node] - 1e-12);
 }
 
+// True when no completion >= `lb` beats the incumbent `best_ct` under
+// mct_beats, whatever its node: a lower bound on a whole MCT row that
+// satisfies this rules the row out.
+inline bool mct_cannot_beat(double lb, double best_ct) {
+  if (std::isinf(best_ct)) return false;
+  const double tol = 1e-9 * (1.0 + best_ct);
+  return !(lb < best_ct - tol) && !(lb < best_ct + tol);
+}
+
 // Applies the estimate: bumps port readies and records new file locations.
 void apply_assignment(const wl::Workload& w, const sim::Topology& topo,
                       PlannerState& ps, wl::TaskId task, wl::NodeId node,

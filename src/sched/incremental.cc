@@ -73,17 +73,19 @@ void DeltaMinMinPlanner::insert(const std::vector<wl::TaskId>& tasks,
   // Load ps_ with the surviving live plan, then run the MinMin core over
   // only the insertions — with an empty live plan this is exactly
   // MinMinScheduler::plan_sub_batch (reset + core), the quiescent
-  // bit-identity anchor.
+  // bit-identity anchor. Each commit prices and applies its task on the
+  // replayed state in live order, so its stamps are the ones a second
+  // replay would compute, and ps_ ends as that replay would leave it.
   replay(ctx);
   sim::SubBatchPlan delta;
+  std::vector<CommitStamp> stamps;
   minmin_plan_into(ctx.batch, ctx.topology, ps_, tasks, ctx.alive_nodes(),
-                   exact_threshold_, stale_retry_budget_, delta);
-  for (wl::TaskId t : delta.tasks)
-    live_.push_back({t, delta.assignment.at(t), 0.0, 0.0});
-  // One more pass to stamp est_start / est_completion for the appended
-  // entries (and any drift the insertions caused is irrelevant — the
-  // replay is a pure re-pricing of the same commitments).
-  replay(ctx);
+                   exact_threshold_, stale_retry_budget_, delta, &stamps);
+  for (std::size_t i = 0; i < delta.tasks.size(); ++i) {
+    const wl::TaskId t = delta.tasks[i];
+    live_.push_back({t, delta.assignment.at(t), stamps[i].start,
+                     stamps[i].completion});
+  }
 }
 
 void DeltaMinMinPlanner::extend(std::vector<wl::TaskId> new_tasks,

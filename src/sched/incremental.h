@@ -124,8 +124,11 @@ class IncrementalPlanner {
 // Delta-MinMin insertion: extend() replays the live plan into the planner
 // state and runs the MinMin core (sched/minmin.h, including the bounded-
 // staleness lazy heap above the exact threshold) over ONLY the new tasks —
-// O(new x nodes) instead of replanning the whole window. repair() removes
-// the dirty tasks, replays the survivors, and re-inserts the dirty ones the
+// O(new x nodes) instead of replanning the whole window. The appended
+// entries take their est_start / est_completion from the core's commit
+// stamps: the commits price and apply on the replayed state in live order,
+// exactly the sequence a second replay would repeat. repair() removes the
+// dirty tasks, replays the survivors, and re-inserts the dirty ones the
 // same way. With an empty live plan extend() is bit-identical to
 // MinMinScheduler::plan_sub_batch.
 class DeltaMinMinPlanner : public IncrementalPlanner {

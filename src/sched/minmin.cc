@@ -1,5 +1,6 @@
 #include "sched/minmin.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <queue>
@@ -39,13 +40,30 @@ std::pair<wl::NodeId, double> fold_best_node(
   return {best_node, best_ct};
 }
 
+// Commits `task` to `node`, the step every MinMin sweep ends in: prices it
+// against ps, applies it, appends it to `plan` and, when asked, records its
+// stamps.
+CompletionEstimate commit(const wl::Workload& w, const sim::Topology& topo,
+                          PlannerState& ps, wl::TaskId task, wl::NodeId node,
+                          sim::SubBatchPlan& plan,
+                          std::vector<CommitStamp>* stamps) {
+  CompletionEstimate est = estimate_completion(w, topo, ps, task, node);
+  if (stamps != nullptr)
+    stamps->push_back({ps.node_ready[node], est.completion});
+  apply_assignment(w, topo, ps, task, node, est);
+  plan.tasks.push_back(task);
+  plan.assignment[task] = node;
+  return est;
+}
+
 // Lazy-heap MinMin for large batches. `stale_retry_budget` caps the
 // refresh cascade between commits (see minmin.h); SIZE_MAX reproduces the
 // historical unbounded behavior bit-for-bit.
 void plan_lazy(const wl::Workload& w, const sim::Topology& topo,
                PlannerState& ps, const std::vector<wl::TaskId>& pending,
                const std::vector<wl::NodeId>& nodes,
-               std::size_t stale_retry_budget, sim::SubBatchPlan& plan) {
+               std::size_t stale_retry_budget, sim::SubBatchPlan& plan,
+               std::vector<CommitStamp>* stamps) {
   WsRuntime& pool = WsRuntime::global();
   const std::size_t N = nodes.size();
   struct Entry {
@@ -109,10 +127,7 @@ void plan_lazy(const wl::Workload& w, const sim::Topology& topo,
       task = fresh_task;
       node = fresh_node;
     }
-    CompletionEstimate est = estimate_completion(w, topo, ps, task, node);
-    apply_assignment(w, topo, ps, task, node, est);
-    plan.tasks.push_back(task);
-    plan.assignment[task] = node;
+    commit(w, topo, ps, task, node, plan, stamps);
     done[task] = true;
     retries = 0;
     fresh_valid = false;
@@ -125,23 +140,20 @@ void minmin_plan_into(const wl::Workload& w, const sim::Topology& topo,
                       PlannerState& ps, const std::vector<wl::TaskId>& pending,
                       const std::vector<wl::NodeId>& nodes,
                       std::size_t exact_threshold,
-                      std::size_t stale_retry_budget, sim::SubBatchPlan& plan) {
+                      std::size_t stale_retry_budget, sim::SubBatchPlan& plan,
+                      std::vector<CommitStamp>* stamps) {
   BSIO_CHECK_MSG(!nodes.empty(), "MinMin: no compute node is alive");
   if (pending.empty()) return;
 
   if (pending.size() > exact_threshold) {
-    plan_lazy(w, topo, ps, pending, nodes, stale_retry_budget, plan);
+    plan_lazy(w, topo, ps, pending, nodes, stale_retry_budget, plan, stamps);
     return;
   }
 
-  WsRuntime& pool = WsRuntime::global();
-
   // Unassigned tasks live in a doubly-linked list over pending positions:
-  // removal is O(1) (replacing the old O(T) vector erase) while sweeps and
-  // folds keep visiting survivors in original pending order — a plain
-  // swap-and-pop would permute the fold order and flip exact-tie picks, so
-  // the O(1)-removal structure that *preserves* index-order tie-breaking is
-  // the list.
+  // removal is O(1) while sweeps and folds keep visiting survivors in
+  // original pending order — a plain swap-and-pop would permute the fold
+  // order and flip exact-tie picks.
   const std::size_t T = pending.size();
   const auto sentinel = static_cast<std::uint32_t>(T);
   std::vector<std::uint32_t> next(T + 1), prev(T + 1);
@@ -150,51 +162,69 @@ void minmin_plan_into(const wl::Workload& w, const sim::Topology& topo,
     prev[i] = static_cast<std::uint32_t>(i > 0 ? i - 1 : T);
   }
 
-  std::vector<std::uint32_t> alive;  // snapshot, original pending order
-  alive.reserve(T);
-  std::vector<double> ct;
+  // Readers of each file among the pending positions, sorted by file: a
+  // commit re-prices exactly the readers of the files it staged.
+  std::vector<std::pair<wl::FileId, std::uint32_t>> readers;
+  for (std::size_t i = 0; i < T; ++i)
+    for (wl::FileId f : w.task(pending[i]).files)
+      readers.push_back({f, static_cast<std::uint32_t>(i)});
+  std::sort(readers.begin(), readers.end());
+
+  // lb[i]: the minimum of row i when it was last priced (-inf = unknown).
+  // It bounds every entry of the current row from below until one of the
+  // task's files gains a holder (see minmin.h).
+  constexpr double kUnknown = -std::numeric_limits<double>::infinity();
+  std::vector<double> lb(T, kUnknown);
   const std::size_t N = nodes.size();
+  std::vector<double> ct(T * N);
+
+  // First sweep: every row against the frozen ps, one per index in
+  // parallel — bit-identical at any thread count. Later sweeps price only
+  // the few rows whose bound could still beat the incumbent, serially in
+  // fold order, instead of paying a fork-join.
+  WsRuntime::global().parallel_for_each(T, [&](std::size_t i) {
+    estimate_completion_row(w, topo, ps, pending[i], nodes, &ct[i * N]);
+  });
+  bool first = true;
 
   while (next[sentinel] != sentinel) {
-    alive.clear();
-    for (std::uint32_t i = next[sentinel]; i != sentinel; i = next[i])
-      alive.push_back(i);
-    const std::size_t A = alive.size();
-    ct.resize(A * N);
-
-    // Parallel phase: all (task, node) MCTs against the frozen ps_. Each
-    // index writes only its own slot — bit-identical at any thread count.
-    pool.parallel_for_each(A, [&](std::size_t a) {
-      estimate_completion_row(w, topo, ps, pending[alive[a]], nodes,
-                              &ct[a * N]);
-    });
-
-    // Sequential fold in the historical (task, node) order.
+    // Fold in the historical (task, node) order. A row is skipped only when
+    // its bound cannot beat the incumbent, so no skipped entry could have
+    // won: the pick is the full sweep's.
     double best_ct = std::numeric_limits<double>::infinity();
-    std::size_t best_a = 0;
+    std::uint32_t best_i = sentinel;
     wl::NodeId best_node = nodes.front();
-    for (std::size_t a = 0; a < A; ++a) {
+    for (std::uint32_t i = next[sentinel]; i != sentinel; i = next[i]) {
+      double* row = &ct[static_cast<std::size_t>(i) * N];
+      if (!first) {
+        if (mct_cannot_beat(lb[i], best_ct)) continue;
+        estimate_completion_row(w, topo, ps, pending[i], nodes, row);
+      }
+      double row_min = std::numeric_limits<double>::infinity();
       for (std::size_t j = 0; j < N; ++j) {
-        const double cand = ct[a * N + j];
+        const double cand = row[j];
+        row_min = std::min(row_min, cand);
         if (mct_beats(ps, cand, nodes[j], best_ct, best_node)) {
           best_ct = cand;
-          best_a = a;
+          best_i = i;
           best_node = nodes[j];
           keep_branch();
         }
       }
+      lb[i] = row_min;
     }
+    first = false;
 
-    const wl::TaskId task = pending[alive[best_a]];
-    CompletionEstimate best_est =
-        estimate_completion(w, topo, ps, task, best_node);
-    apply_assignment(w, topo, ps, task, best_node, best_est);
-    plan.tasks.push_back(task);
-    plan.assignment[task] = best_node;
-
-    const std::uint32_t idx = alive[best_a];
-    next[prev[idx]] = next[idx];
-    prev[next[idx]] = prev[idx];
+    const CompletionEstimate est =
+        commit(w, topo, ps, pending[best_i], best_node, plan, stamps);
+    next[prev[best_i]] = next[best_i];
+    prev[next[best_i]] = prev[best_i];
+    for (const CompletionEstimate::Stage& s : est.stages) {
+      auto it = std::lower_bound(readers.begin(), readers.end(),
+                                 std::make_pair(s.file, std::uint32_t{0}));
+      for (; it != readers.end() && it->first == s.file; ++it)
+        lb[it->second] = kUnknown;
+    }
   }
 }
 

@@ -9,11 +9,20 @@
 // the engine's popularity eviction handles disk pressure.
 //
 // Every (task x all nodes) MCT row comes from estimate_completion_row, which
-// prices the nodes the estimate cannot tell apart once. The exact sweep and
-// the lazy initial sweep run one row per task on the global WsRuntime; the
-// lazy per-pop refresh is a single serial row. The argmin fold over the
-// precomputed estimates stays sequential and visits candidates in the
-// historical order, so plans are bit-identical at any thread count.
+// prices the nodes the estimate cannot tell apart once. The exact sweep's
+// first pass and the lazy initial sweep run one row per task on the global
+// WsRuntime; the lazy per-pop refresh is a single serial row. The argmin
+// fold stays sequential and visits candidates in the historical order, so
+// plans are bit-identical at any thread count.
+//
+// After its first pass the exact sweep re-prices only the rows that could
+// still win: each pending task keeps the minimum of its last priced row,
+// and a row whose minimum cannot beat the incumbent (mct_cannot_beat) is
+// skipped. A commit only raises ready times and adds holders for the files
+// it stages, and the MCT core is monotone in ready times, so the kept
+// minimum stays a lower bound until one of the task's files gains a holder;
+// the commit then forgets the bounds of that file's readers. The picks are
+// the full O(T^2) sweep's, bit for bit.
 #pragma once
 
 #include <limits>
@@ -64,16 +73,25 @@ class MinMinScheduler : public Scheduler {
   PlannerState ps_;  // reused across rounds (epoch-stamped reset)
 };
 
+// Planner-relative stamps of one MinMin commit: the node's ready time just
+// before the task was applied, and the task's estimated completion.
+struct CommitStamp {
+  double start = 0.0;
+  double completion = 0.0;
+};
+
 // The MinMin planning core: plans `pending` against an already-initialised
 // planner state — `ps` is NOT reset here, so callers may pre-load it with
 // live placements before the sweep (the incremental planner's delta
 // insertion replays its uncommitted plan, then inserts only the new
-// arrivals). Commits append to `plan` in commit order. With a freshly reset
-// ps this is bit-identical to MinMinScheduler::plan_sub_batch.
+// arrivals). Commits append to `plan` in commit order, and to `stamps`
+// (when non-null) one entry per commit. With a freshly reset ps this is
+// bit-identical to MinMinScheduler::plan_sub_batch.
 void minmin_plan_into(const wl::Workload& w, const sim::Topology& topo,
                       PlannerState& ps, const std::vector<wl::TaskId>& pending,
                       const std::vector<wl::NodeId>& nodes,
                       std::size_t exact_threshold,
-                      std::size_t stale_retry_budget, sim::SubBatchPlan& plan);
+                      std::size_t stale_retry_budget, sim::SubBatchPlan& plan,
+                      std::vector<CommitStamp>* stamps = nullptr);
 
 }  // namespace bsio::sched

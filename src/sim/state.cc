@@ -121,17 +121,21 @@ std::vector<wl::FileId> ClusterState::select_victims(
     }
     cands.push_back({file, key, file_size(file)});
   }
-  std::sort(cands.begin(), cands.end(), [](const Candidate& a,
-                                           const Candidate& b) {
-    if (a.key != b.key) return a.key < b.key;
-    return a.file < b.file;  // deterministic tiebreak
-  });
+  // Pop the (key, file) minimum until enough is freed: a heap over the
+  // total order a full sort would use yields the same victims in the same
+  // order, without sorting the candidates that are never reached.
+  const auto after = [](const Candidate& a, const Candidate& b) {
+    if (a.key != b.key) return a.key > b.key;
+    return a.file > b.file;  // deterministic tiebreak
+  };
+  std::make_heap(cands.begin(), cands.end(), after);
   std::vector<wl::FileId> victims;
   double freed = 0.0;
-  for (const auto& c : cands) {
-    if (freed >= need_bytes) break;
-    victims.push_back(c.file);
-    freed += c.size;
+  for (auto end = cands.end(); freed < need_bytes && end != cands.begin();
+       --end) {
+    std::pop_heap(cands.begin(), end, after);
+    victims.push_back(end[-1].file);
+    freed += end[-1].size;
   }
   if (freed < need_bytes) return {};  // cannot satisfy
   return victims;

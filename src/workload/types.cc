@@ -27,7 +27,8 @@ Workload::Workload(std::vector<TaskInfo> tasks, std::vector<FileInfo> files)
 
 TaskId Workload::append_tasks(std::vector<TaskInfo> tasks) {
   const auto first = static_cast<TaskId>(tasks_.size());
-  tasks_.reserve(tasks_.size() + tasks.size());
+  // No exact-size reserve: the stream appends one small batch at a time,
+  // and geometric growth keeps each append amortised O(batch).
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     TaskInfo& t = tasks[i];
     t.id = static_cast<TaskId>(first + i);

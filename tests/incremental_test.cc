@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -162,6 +163,82 @@ TEST(DeltaMinMin, ExtendLeavesEarlierWaveUntouched) {
   for (std::size_t i = 0; i < snap.size(); ++i) {
     EXPECT_EQ(planner->live()[i].task, snap[i].task);
     EXPECT_EQ(planner->live()[i].node, snap[i].node);
+  }
+  WsRuntime::set_global_threads(0);
+}
+
+// Re-prices the live plan from scratch — reset against the engine's cache,
+// then estimate and apply every entry in live order — and checks each
+// entry's stamps bit for bit against that replay.
+void expect_stamps_match_replay(const sched::IncrementalPlanner& planner,
+                                const sched::SchedulerContext& ctx,
+                                double origin, const std::string& where) {
+  sched::PlannerState ps;
+  ps.reset(ctx.batch, ctx.topology, ctx.engine.state(), origin);
+  for (const sched::LiveTask& lt : planner.live()) {
+    const double start = ps.node_ready[lt.node];
+    const sched::CompletionEstimate est = sched::estimate_completion(
+        ctx.batch, ctx.topology, ps, lt.task, lt.node);
+    sched::apply_assignment(ctx.batch, ctx.topology, ps, lt.task, lt.node,
+                            est);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(lt.est_start),
+              std::bit_cast<std::uint64_t>(start))
+        << where << ": task " << lt.task;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(lt.est_completion),
+              std::bit_cast<std::uint64_t>(est.completion))
+        << where << ": task " << lt.task;
+  }
+}
+
+TEST(DeltaMinMin, InsertStampsMatchReplay) {
+  WsRuntime::set_global_threads(1);
+  wl::SyntheticConfig cfg;
+  cfg.num_tasks = 48;
+  cfg.files_per_task = 3;
+  cfg.overlap = 0.6;
+  cfg.file_size_bytes = 50.0 * sim::kMB;
+  cfg.file_size_jitter = 0.3;
+  cfg.num_storage_nodes = 4;
+  cfg.seed = 5;
+  const wl::Workload w = wl::make_synthetic(cfg);
+  const sim::ClusterConfig c = sim::osumed_cluster(4, 4);
+  // The exact sweep, and the lazy heap (threshold 4) on the same script.
+  for (std::size_t threshold : {std::size_t{400}, std::size_t{4}}) {
+    const std::string where = "threshold " + std::to_string(threshold);
+    sched::MinMinScheduler mm(threshold);
+    sim::EngineOptions eo;
+    eo.eviction = mm.eviction_policy();
+    sim::ExecutionEngine eng(c, w, eo);
+    sched::SchedulerContext ctx{w, c, eng};
+    auto planner = sched::make_incremental_planner(mm);
+
+    std::vector<wl::TaskId> wave;
+    for (wl::TaskId t = 0; t < 16; ++t) wave.push_back(t);
+    planner->extend(wave, ctx);
+    expect_stamps_match_replay(*planner, ctx, 0.0, where + " first extend");
+
+    // Run part of the plan so the engine holds cached copies, move the
+    // planner's origin, and insert the next wave on top of the rest.
+    sched::HorizonOptions h;
+    h.window_seconds = 1.0;
+    const sim::SubBatchPlan window = planner->commit_horizon(h);
+    ASSERT_FALSE(window.tasks.empty());
+    ASSERT_TRUE(eng.execute(window).ok());
+    const double origin = 2.0;
+    planner->set_origin(origin);
+    wave.clear();
+    for (wl::TaskId t = 16; t < 40; ++t) wave.push_back(t);
+    planner->extend(wave, ctx);
+    expect_stamps_match_replay(*planner, ctx, origin, where + " extend");
+
+    // Repair: the live readers of the window's files are re-inserted.
+    std::vector<wl::FileId> touched;
+    for (wl::TaskId t : window.tasks)
+      for (wl::FileId f : w.task(t).files) touched.push_back(f);
+    const std::vector<wl::TaskId> dirty = planner->dirty_from_files(w, touched);
+    ASSERT_FALSE(dirty.empty()) << where;
+    planner->repair(dirty, ctx);
+    expect_stamps_match_replay(*planner, ctx, origin, where + " repair");
   }
   WsRuntime::set_global_threads(0);
 }

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <random>
+#include <utility>
+#include <vector>
 
 #include "sim/cluster.h"
 #include "sim/topology.h"
@@ -104,6 +109,99 @@ TEST(ClusterState, VictimSelectionFailsWhenPinnedBlocksAll) {
   EXPECT_TRUE(
       st.select_victims(0, 50.0, {1}, EvictionPolicy::kLru, one, size)
           .empty());
+}
+
+// The eviction order select_victims promises on node 0, written as the full
+// sort it replaced: every unpinned cached file by (key, file) ascending,
+// taken until `need` bytes are freed; empty when even all of them fall
+// short.
+std::vector<wl::FileId> victims_by_full_sort(
+    const ClusterState& st, double need, const std::vector<wl::FileId>& cached,
+    const std::vector<wl::FileId>& pinned, EvictionPolicy policy,
+    const std::vector<double>& last_use,
+    const std::function<double(wl::FileId)>& freq,
+    const std::function<double(wl::FileId)>& size) {
+  std::vector<std::pair<double, wl::FileId>> order;
+  for (wl::FileId f : cached) {
+    if (std::find(pinned.begin(), pinned.end(), f) != pinned.end()) continue;
+    double key = 0.0;
+    switch (policy) {
+      case EvictionPolicy::kPopularity:
+        key = freq(f) * size(f) / static_cast<double>(st.num_copies(f));
+        break;
+      case EvictionPolicy::kLru:
+        key = last_use[f];
+        break;
+      case EvictionPolicy::kSizeAscending:
+        key = size(f);
+        break;
+    }
+    order.push_back({key, f});
+  }
+  std::sort(order.begin(), order.end());
+  std::vector<wl::FileId> victims;
+  double freed = 0.0;
+  for (const auto& [key, f] : order) {
+    if (freed >= need) break;
+    victims.push_back(f);
+    freed += size(f);
+  }
+  if (freed < need) return {};
+  return victims;
+}
+
+TEST(ClusterState, SelectVictimsMatchesFullSort) {
+  const EvictionPolicy policies[] = {EvictionPolicy::kPopularity,
+                                     EvictionPolicy::kLru,
+                                     EvictionPolicy::kSizeAscending};
+  std::mt19937_64 rng(7);
+  auto uniform = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t num_files = 4 + uniform(60);
+    // Few distinct sizes, frequencies and use stamps, so equal keys are
+    // common and the file id has to break the tie.
+    std::vector<double> sizes(num_files), freqs(num_files);
+    for (std::size_t f = 0; f < num_files; ++f) {
+      sizes[f] = 10.0 * static_cast<double>(1 + uniform(4));
+      freqs[f] = static_cast<double>(uniform(4));
+    }
+    ClusterState st(3, 1e9);
+    std::vector<wl::FileId> cached;
+    std::vector<double> last_use(num_files, 0.0);
+    for (std::size_t f = 0; f < num_files; ++f) {
+      const auto file = static_cast<wl::FileId>(f);
+      if (uniform(4) != 0) {
+        const double avail = static_cast<double>(uniform(3));
+        st.add(0, file, sizes[f], avail);
+        const double use = static_cast<double>(uniform(5));
+        st.touch(0, file, use);
+        last_use[f] = std::max(avail, use);
+        cached.push_back(file);
+      }
+      // Extra copies elsewhere change the popularity key's divisor.
+      for (wl::NodeId n : {1u, 2u})
+        if (uniform(3) == 0) st.add(n, file, sizes[f], 0.0);
+    }
+    std::vector<wl::FileId> pinned;
+    for (wl::FileId f : cached)
+      if (uniform(5) == 0) pinned.push_back(f);
+    double total = 0.0;
+    for (wl::FileId f : cached) total += sizes[f];
+    // From nothing to more than every unpinned byte (unsatisfiable).
+    const double need = total * 1.1 * static_cast<double>(uniform(101)) / 100.0;
+    auto freq = [&](wl::FileId f) { return freqs[f]; };
+    auto size = [&](wl::FileId f) { return sizes[f]; };
+    for (EvictionPolicy policy : policies) {
+      const std::vector<wl::FileId> got =
+          st.select_victims(0, need, pinned, policy, freq, size);
+      const std::vector<wl::FileId> want = victims_by_full_sort(
+          st, need, cached, pinned, policy, last_use, freq, size);
+      ASSERT_EQ(got, want) << "trial " << trial << " policy "
+                           << static_cast<int>(policy) << " need " << need;
+    }
+  }
 }
 
 // --- Engine tests on tiny hand-checkable workloads. ---

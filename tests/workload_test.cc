@@ -29,6 +29,34 @@ TEST(Workload, NormalisesAndIndexes) {
   EXPECT_DOUBLE_EQ(w.total_request_bytes(), 30.0);
 }
 
+TEST(Workload, AppendTasksAmortisedGrowth) {
+  // The stream appends one small batch at a time; the task buffer must grow
+  // geometrically, not by exactly one batch per append (which moves every
+  // earlier task on every append).
+  std::vector<FileInfo> files(16);
+  for (auto& f : files) f.size_bytes = 1.0;
+  Workload w({}, std::move(files));
+  const TaskInfo* buffer = w.tasks().data();
+  std::size_t reallocations = 0;
+  for (int a = 0; a < 2000; ++a) {
+    std::vector<TaskInfo> batch(32);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      batch[i].compute_seconds = 1.0;
+      batch[i].files = {static_cast<FileId>((a + i) % 16)};
+    }
+    const TaskId first = w.append_tasks(std::move(batch));
+    EXPECT_EQ(first, static_cast<TaskId>(32 * a));
+    if (w.tasks().data() != buffer) {
+      ++reallocations;
+      buffer = w.tasks().data();
+    }
+  }
+  ASSERT_EQ(w.num_tasks(), 64000u);
+  EXPECT_EQ(w.task(63999).id, 63999u);
+  // log2(64000) is about 16; allow any growth factor down to ~1.25.
+  EXPECT_LE(reallocations, 60u);
+}
+
 TEST(Workload, SubsetKeepsFileIdsStable) {
   std::vector<FileInfo> files(4);
   for (auto& f : files) f.size_bytes = 1.0;

@@ -75,11 +75,34 @@ CoarseLevel coarsen_once(const Hypergraph& h, Rng& rng,
   const std::size_t nc = cluster_weight.size();
 
   std::vector<double> folded(nc, 0.0);
-  for (VertexId v = 0; v < nv; ++v) folded[cluster[v]] += h.folded_net_weight(v);
+  for (VertexId v = 0; v < nv; ++v)
+    folded[cluster[v]] += h.folded_net_weight(v);
 
-  // Contract nets; merge nets with identical coarse pin sets.
-  std::unordered_map<std::uint64_t, std::vector<std::pair<std::vector<VertexId>, double>>>
-      merged;
+  // Contract nets; merge nets with identical coarse pin sets. The distinct
+  // coarse nets live in flat arrays: the map sends a pin-set hash to the
+  // first net with that hash, and next_net chains the rest (collisions) in
+  // first-seen order. The coarse nets come out in the map's iteration order.
+  constexpr std::uint32_t kEnd = static_cast<std::uint32_t>(-1);
+  std::unordered_map<std::uint64_t, std::uint32_t> first_net;
+  std::vector<VertexId> net_pins;
+  std::vector<std::size_t> net_begin{0};
+  std::vector<double> net_weight;
+  std::vector<std::uint32_t> next_net;
+  const auto add_coarse_net = [&](const std::vector<VertexId>& pins,
+                                  double weight) {
+    net_pins.insert(net_pins.end(), pins.begin(), pins.end());
+    net_begin.push_back(net_pins.size());
+    net_weight.push_back(weight);
+    next_net.push_back(kEnd);
+    return static_cast<std::uint32_t>(net_weight.size() - 1);
+  };
+  const auto same_pins = [&](std::uint32_t i,
+                             const std::vector<VertexId>& pins) {
+    return net_begin[i + 1] - net_begin[i] == pins.size() &&
+           std::equal(pins.begin(), pins.end(),
+                      net_pins.begin() +
+                          static_cast<std::ptrdiff_t>(net_begin[i]));
+  };
   std::vector<VertexId> cpins;
   for (NetId n = 0; n < h.num_nets(); ++n) {
     cpins.clear();
@@ -92,22 +115,29 @@ CoarseLevel coarsen_once(const Hypergraph& h, Rng& rng,
       folded[cpins[0]] += h.net_weight(n);
       continue;
     }
-    auto& bucket = merged[hash_pins(cpins)];
-    bool found = false;
-    for (auto& [pins, weight] : bucket) {
-      if (pins == cpins) {
-        weight += h.net_weight(n);
-        found = true;
-        break;
-      }
+    const auto [it, fresh] = first_net.try_emplace(
+        hash_pins(cpins), static_cast<std::uint32_t>(net_weight.size()));
+    if (fresh) {
+      add_coarse_net(cpins, h.net_weight(n));
+      continue;
     }
-    if (!found) bucket.emplace_back(cpins, h.net_weight(n));
+    std::uint32_t i = it->second;
+    while (!same_pins(i, cpins) && next_net[i] != kEnd) i = next_net[i];
+    if (same_pins(i, cpins))
+      net_weight[i] += h.net_weight(n);
+    else
+      next_net[i] = add_coarse_net(cpins, h.net_weight(n));
   }
 
   HypergraphBuilder b2;
   for (VertexId c = 0; c < nc; ++c) b2.add_vertex(cluster_weight[c], folded[c]);
-  for (auto& [hash, bucket] : merged)
-    for (auto& [pins, weight] : bucket) b2.add_net(weight, std::move(pins));
+  for (const auto& [hash, first] : first_net)
+    for (std::uint32_t i = first; i != kEnd; i = next_net[i]) {
+      cpins.assign(net_pins.begin() + static_cast<std::ptrdiff_t>(net_begin[i]),
+                   net_pins.begin() +
+                       static_cast<std::ptrdiff_t>(net_begin[i + 1]));
+      b2.add_net(net_weight[i], cpins);
+    }
 
   CoarseLevel level;
   level.coarse = b2.build();

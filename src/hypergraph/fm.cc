@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
 
 #include "hypergraph/metrics.h"
 #include "util/ws_runtime.h"
@@ -31,6 +30,7 @@ struct HeapEntry {
   }
 };
 
+// One object per fm_refine call; run() is one pass and reuses the buffers.
 class FmPass {
  public:
   FmPass(const Hypergraph& h, std::vector<int>& side,
@@ -44,26 +44,25 @@ class FmPass {
     double cum_gain = 0.0;
     double best_gain = 0.0;
     std::size_t best_len = 0;
-    std::vector<VertexId> moved;
-    moved.reserve(nv);
+    moved_.clear();
 
-    while (moved.size() < nv) {
+    while (moved_.size() < nv) {
       VertexId v = pop_best_movable();
       if (v == kNone) break;
       cum_gain += gain_[v];
       apply_move(v);
       locked_[v] = true;
-      moved.push_back(v);
+      moved_.push_back(v);
       if (cum_gain > best_gain + 1e-12 ||
           (cum_gain > best_gain - 1e-12 && better_balance())) {
         best_gain = cum_gain;
-        best_len = moved.size();
+        best_len = moved_.size();
       }
     }
 
     // Roll back to the best prefix.
-    for (std::size_t i = moved.size(); i > best_len; --i)
-      apply_move(moved[i - 1], /*update_gains=*/false);
+    for (std::size_t i = moved_.size(); i > best_len; --i)
+      apply_move(moved_[i - 1], /*update_gains=*/false);
     return best_gain;
   }
 
@@ -77,15 +76,22 @@ class FmPass {
     for (NetId n = 0; n < nn; ++n)
       for (VertexId v : h_.pins(n)) ++pc_[n * 2 + side_[v]];
     weight_[0] = weight_[1] = 0.0;
-    for (VertexId v = 0; v < nv; ++v) weight_[side_[v]] += h_.vertex_weight(v);
-    locked_.assign(nv, false);
-    gain_.assign(nv, 0.0);
-    tie_.assign(nv, 0.0);
-    heap_ = {};
+    min_weight_[0] = min_weight_[1] = std::numeric_limits<double>::infinity();
+    for (VertexId v = 0; v < nv; ++v) {
+      const double w = h_.vertex_weight(v);
+      weight_[side_[v]] += w;
+      min_weight_[side_[v]] = std::min(min_weight_[side_[v]], w);
+    }
+    locked_.assign(nv, 0);
+    gain_.resize(nv);
+    tie_.resize(nv);
+    heap_[0].clear();
+    heap_[1].clear();
+    prev_best_dev_ = std::numeric_limits<double>::infinity();
     // Initial gains are pure functions of the (frozen) pin counts, so the
     // per-vertex computation fans out on the planners' runtime; the rng
-    // draws and heap pushes stay sequential in vertex order, keeping every
-    // pass bit-identical at any thread count. When this pass already runs
+    // draws stay sequential in vertex order, keeping every pass
+    // bit-identical at any thread count. When this pass already runs
     // inside a parallel recursive-bisection branch, its loop nests: the
     // branch's thread opens it on the runtime and helps run it.
     WsRuntime::global().parallel_for_each(
@@ -94,8 +100,9 @@ class FmPass {
         });
     for (VertexId v = 0; v < nv; ++v) {
       tie_[v] = rng_.uniform_double();
-      heap_.push({gain_[v], tie_[v], v});
+      heap_[side_[v]].push_back({gain_[v], tie_[v], v});
     }
+    for (auto& heap : heap_) std::make_heap(heap.begin(), heap.end());
   }
 
   double compute_gain(VertexId v) const {
@@ -108,9 +115,9 @@ class FmPass {
     return g;
   }
 
-  bool move_allowed(VertexId v) const {
-    const int s = side_[v];
-    const double wv = h_.vertex_weight(v);
+  // Whether a vertex of weight wv may leave side s. Monotone in wv: if the
+  // lightest vertex may not leave a side, no vertex on it may.
+  bool move_allowed(int s, double wv) const {
     const double dst_max = s == 0 ? c_.max1 : c_.max0;
     const double dst_w = weight_[1 - s];
     if (dst_w + wv <= dst_max) return true;
@@ -119,23 +126,45 @@ class FmPass {
     return weight_[s] > src_max && dst_w + wv < weight_[s];
   }
 
+  void push(int s, const HeapEntry& e) {
+    heap_[s].push_back(e);
+    std::push_heap(heap_[s].begin(), heap_[s].end());
+  }
+
+  HeapEntry pop(int s) {
+    std::pop_heap(heap_[s].begin(), heap_[s].end());
+    HeapEntry e = heap_[s].back();
+    heap_[s].pop_back();
+    return e;
+  }
+
+  // The unlocked movable vertex of highest (gain, tie). Each side's heap
+  // holds its own vertices and entries are lazy: locked or stale (gain
+  // changed) ones are dropped, blocked ones set aside and re-inserted. The
+  // two heaps are searched as one, best top first, except that a side whose
+  // lightest vertex at the start of the pass may not move is skipped whole,
+  // so its blocked entries stay put.
   VertexId pop_best_movable() {
-    // Lazy-deletion heap: entries may be stale (gain changed) or locked.
-    std::vector<HeapEntry> skipped;
+    const bool open[2] = {move_allowed(0, min_weight_[0]),
+                          move_allowed(1, min_weight_[1])};
     VertexId found = kNone;
-    while (!heap_.empty()) {
-      HeapEntry e = heap_.top();
-      heap_.pop();
-      if (locked_[e.v]) continue;
-      if (e.gain != gain_[e.v]) continue;  // stale
-      if (!move_allowed(e.v)) {
-        skipped.push_back(e);
+    for (;;) {
+      const bool has0 = open[0] && !heap_[0].empty();
+      const bool has1 = open[1] && !heap_[1].empty();
+      if (!has0 && !has1) break;
+      const int s =
+          !has1 || (has0 && heap_[1].front() < heap_[0].front()) ? 0 : 1;
+      const HeapEntry e = pop(s);
+      if (locked_[e.v] || e.gain != gain_[e.v]) continue;
+      if (!move_allowed(s, h_.vertex_weight(e.v))) {
+        skipped_.push_back(e);
         continue;
       }
       found = e.v;
       break;
     }
-    for (const auto& e : skipped) heap_.push(e);
+    for (const HeapEntry& e : skipped_) push(side_[e.v], e);
+    skipped_.clear();
     return found;
   }
 
@@ -145,23 +174,25 @@ class FmPass {
     weight_[s] -= h_.vertex_weight(v);
     weight_[1 - s] += h_.vertex_weight(v);
     for (NetId n : h_.nets(v)) {
-      --pc_[n * 2 + s];
-      ++pc_[n * 2 + (1 - s)];
-      if (update_gains) {
-        for (VertexId u : h_.pins(n)) {
-          if (u == v || locked_[u]) continue;
-          double g = compute_gain(u);
-          if (g != gain_[u]) {
-            gain_[u] = g;
-            heap_.push({g, tie_[u], u});
-          }
+      const int from = pc_[n * 2 + s]--;
+      const int to = pc_[n * 2 + (1 - s)]++;
+      if (!update_gains) continue;
+      // Critical nets only, and on them only the pins whose terms for n
+      // change (the rule in fm.h); every other pin keeps its gain bits.
+      const bool src_changes = from == 2 || to == 0;
+      const bool dst_changes = from == 1 || to == 1;
+      if (!src_changes && !dst_changes) continue;
+      for (VertexId u : h_.pins(n)) {
+        if (u == v || locked_[u]) continue;
+        if (!(side_[u] == s ? src_changes : dst_changes)) continue;
+        double g = compute_gain(u);
+        if (g != gain_[u]) {
+          gain_[u] = g;
+          push(side_[u], {g, tie_[u], u});
         }
       }
     }
-    if (update_gains) {
-      gain_[v] = compute_gain(v);
-      // v is locked afterwards in run(); no heap push needed.
-    }
+    // v is locked afterwards in run(); its own gain is never read again.
   }
 
   bool better_balance() const {
@@ -176,13 +207,17 @@ class FmPass {
   std::vector<int>& side_;
   const BisectionConstraint& c_;
   Rng& rng_;
-
   std::vector<int> pc_;  // pin counts: pc_[2n + side]
   double weight_[2] = {0.0, 0.0};
-  std::vector<bool> locked_;
+  // Lightest vertex on each side when the pass began. Moved vertices are
+  // locked, so it bounds every unlocked vertex still on that side.
+  double min_weight_[2] = {0.0, 0.0};
+  std::vector<char> locked_;
   std::vector<double> gain_;
   std::vector<double> tie_;
-  std::priority_queue<HeapEntry> heap_;
+  std::vector<HeapEntry> heap_[2];  // max-heaps of the vertices on each side
+  std::vector<HeapEntry> skipped_;
+  std::vector<VertexId> moved_;
   mutable double prev_best_dev_ = std::numeric_limits<double>::infinity();
 };
 
@@ -190,8 +225,8 @@ class FmPass {
 
 double fm_refine(const Hypergraph& h, std::vector<int>& side,
                  const BisectionConstraint& c, Rng& rng, int passes) {
+  FmPass pass(h, side, c, rng);
   for (int p = 0; p < passes; ++p) {
-    FmPass pass(h, side, c, rng);
     double gain = pass.run();
     if (gain <= 1e-12) break;
   }

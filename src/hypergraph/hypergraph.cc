@@ -42,18 +42,22 @@ VertexId HypergraphBuilder::add_vertex(double weight, double folded_weight) {
   return static_cast<VertexId>(vertex_weight_.size() - 1);
 }
 
-void HypergraphBuilder::add_net(double weight, std::vector<VertexId> pins) {
-  std::sort(pins.begin(), pins.end());
-  pins.erase(std::unique(pins.begin(), pins.end()), pins.end());
-  for (VertexId v : pins)
-    BSIO_CHECK_MSG(v < vertex_weight_.size(), "net pin references no vertex");
-  if (pins.empty()) return;
-  if (pins.size() == 1) {
-    folded_weight_[pins[0]] += weight;
+void HypergraphBuilder::add_net(double weight,
+                                const std::vector<VertexId>& pins) {
+  const auto first = static_cast<std::ptrdiff_t>(pins_.size());
+  pins_.insert(pins_.end(), pins.begin(), pins.end());
+  std::sort(pins_.begin() + first, pins_.end());
+  pins_.erase(std::unique(pins_.begin() + first, pins_.end()), pins_.end());
+  for (auto it = pins_.begin() + first; it != pins_.end(); ++it)
+    BSIO_CHECK_MSG(*it < vertex_weight_.size(), "net pin references no vertex");
+  const std::size_t size = pins_.size() - static_cast<std::size_t>(first);
+  if (size <= 1) {
+    if (size == 1) folded_weight_[pins_.back()] += weight;
+    pins_.resize(static_cast<std::size_t>(first));
     return;
   }
   net_weight_.push_back(weight);
-  net_pins_.push_back(std::move(pins));
+  xpins_.push_back(pins_.size());
 }
 
 Hypergraph HypergraphBuilder::build() {
@@ -61,30 +65,21 @@ Hypergraph HypergraphBuilder::build() {
   h.vertex_weight_ = std::move(vertex_weight_);
   h.folded_net_weight_ = std::move(folded_weight_);
   h.net_weight_ = std::move(net_weight_);
-
-  h.xpins_.assign(1, 0);
-  h.xpins_.reserve(net_pins_.size() + 1);
-  std::size_t total = 0;
-  for (const auto& p : net_pins_) total += p.size();
-  h.pins_.reserve(total);
-  for (const auto& p : net_pins_) {
-    h.pins_.insert(h.pins_.end(), p.begin(), p.end());
-    h.xpins_.push_back(h.pins_.size());
-  }
+  h.xpins_ = std::move(xpins_);
+  h.pins_ = std::move(pins_);
+  xpins_.assign(1, 0);
 
   // Build the vertex -> nets CSR by counting sort.
   const std::size_t nv = h.vertex_weight_.size();
   std::vector<std::size_t> deg(nv, 0);
-  for (const auto& p : net_pins_)
-    for (VertexId v : p) ++deg[v];
+  for (VertexId v : h.pins_) ++deg[v];
   h.xnets_.assign(nv + 1, 0);
   for (std::size_t v = 0; v < nv; ++v) h.xnets_[v + 1] = h.xnets_[v] + deg[v];
   h.nets_.resize(h.pins_.size());
   std::vector<std::size_t> cursor(h.xnets_.begin(), h.xnets_.end() - 1);
-  for (NetId n = 0; n < net_pins_.size(); ++n)
-    for (VertexId v : net_pins_[n]) h.nets_[cursor[v]++] = n;
+  for (NetId n = 0; n < h.num_nets(); ++n)
+    for (VertexId v : h.pins(n)) h.nets_[cursor[v]++] = n;
 
-  net_pins_.clear();
   h.validate();
   return h;
 }

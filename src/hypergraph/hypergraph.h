@@ -97,7 +97,7 @@ class HypergraphBuilder {
   // Pins may contain duplicates; they are deduped. Size-0 nets are dropped;
   // size-1 nets are folded into the pin's folded weight (PaToH-style), so
   // the built hypergraph only has nets of size >= 2.
-  void add_net(double weight, std::vector<VertexId> pins);
+  void add_net(double weight, const std::vector<VertexId>& pins);
 
   Hypergraph build();
 
@@ -105,7 +105,9 @@ class HypergraphBuilder {
   std::vector<double> vertex_weight_;
   std::vector<double> folded_weight_;
   std::vector<double> net_weight_;
-  std::vector<std::vector<VertexId>> net_pins_;
+  // Pins of the kept nets, flat, with net n at [xpins_[n], xpins_[n + 1]).
+  std::vector<std::size_t> xpins_{0};
+  std::vector<VertexId> pins_;
 };
 
 }  // namespace bsio::hg

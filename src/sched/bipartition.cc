@@ -27,8 +27,8 @@ hg::Hypergraph build_hypergraph(const wl::Workload& w,
   for (std::size_t i = 0; i < tasks.size(); ++i)
     for (wl::FileId f : w.task(tasks[i]).files)
       pins_of_file[f].push_back(static_cast<hg::VertexId>(i));
-  for (auto& [f, pins] : pins_of_file)
-    b.add_net(w.file_size(f), std::move(pins));
+  for (const auto& [f, pins] : pins_of_file)
+    b.add_net(w.file_size(f), pins);
   return b.build();
 }
 

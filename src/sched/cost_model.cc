@@ -157,14 +157,16 @@ void PlannerState::reset(const wl::Workload& w, const sim::Topology& topo,
   if (present_.size() < want) present_.resize(want, 0);
   num_nodes_ = c.num_compute_nodes;
 
-  for (wl::FileId f = 0; f < w.num_files(); ++f)
-    for (wl::NodeId n : current.holders(f)) {
-      double avail = current.available_at(n, f);
+  // Node by node in ascending order, so every planned[f] lists its holders
+  // ascending, as holders(f) does, at one pass over each node's cache.
+  for (wl::NodeId n = 0; n < current.num_nodes(); ++n)
+    current.for_each_cached(n, [&](wl::FileId f, double avail) {
+      if (f >= w.num_files()) return;
       // Guarded so the origin-0 batch path leaves stamps bit-identical
       // (no clamp applied to already-relative values).
       if (origin > 0.0) avail = std::max(0.0, avail - origin);
       add_planned(f, n, avail);
-    }
+    });
 }
 
 void PlannerState::add_planned(wl::FileId f, wl::NodeId n, double avail) {

@@ -42,6 +42,12 @@ class ClusterState {
   // cache mutation.
   const std::vector<wl::NodeId>& holders(wl::FileId file) const;
   std::size_t num_copies(wl::FileId file) const;
+  // Calls fn(file, available_at) for every file cached on `node`, in no
+  // particular order.
+  template <class Fn>
+  void for_each_cached(wl::NodeId node, Fn&& fn) const {
+    for (const auto& [file, entry] : caches_[node]) fn(file, entry.avail_time);
+  }
 
   double used_bytes(wl::NodeId node) const { return used_[node]; }
   double free_bytes(wl::NodeId node) const {

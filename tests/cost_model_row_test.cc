@@ -259,5 +259,69 @@ TEST(CostModelRow, FreshUniformStateRunsTheCoreOnce) {
             nodes.size());
 }
 
+// The reset before node-cache visiting: every file id in order, its holders
+// from the holder index, each stamp through available_at.
+void reference_reset(PlannerState& ps, const wl::Workload& w,
+                     const sim::Topology& topo,
+                     const sim::ClusterState& current, double origin) {
+  const sim::ClusterState empty(current.num_nodes(), sim::kUnlimited);
+  ps.reset(w, topo, empty, origin);
+  for (wl::FileId f = 0; f < w.num_files(); ++f)
+    for (wl::NodeId n : current.holders(f)) {
+      double avail = current.available_at(n, f);
+      if (origin > 0.0) avail = std::max(0.0, avail - origin);
+      ps.add_planned(f, n, avail);
+    }
+}
+
+TEST(PlannerState, ResetFromNodeCachesMatchesHolderOrder) {
+  const sim::ClusterConfig c = sim::osumed_cluster(12, 4);
+  const sim::Topology topo(c);
+  const wl::Workload w = row_workload(6, c.num_storage_nodes);
+  // One pair of states reused across rounds, as the planners reuse theirs,
+  // so each reset also has to clear what the previous round set.
+  PlannerState ps;
+  PlannerState ref;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    sim::ClusterState cache(c.num_compute_nodes, sim::kUnlimited);
+    // Ids past the workload's files stand for another batch's files; reset
+    // must skip them.
+    const std::size_t ids = w.num_files() + 8;
+    for (int op = 0; op < 400; ++op) {
+      const auto node =
+          static_cast<wl::NodeId>(rng.uniform(c.num_compute_nodes));
+      const auto file = static_cast<wl::FileId>(rng.uniform(ids));
+      const double r = rng.uniform_double();
+      if (r < 0.7) {
+        cache.add(node, file, 1.0, rng.uniform_double() * 100.0);
+      } else if (r < 0.97) {
+        if (cache.has(node, file)) cache.remove(node, file, 1.0);
+      } else {
+        cache.clear_node(node);
+      }
+    }
+    for (double origin : {0.0, 37.5}) {
+      ps.reset(w, topo, cache, origin);
+      reference_reset(ref, w, topo, cache, origin);
+      ASSERT_EQ(ps.planned.size(), ref.planned.size());
+      for (wl::FileId f = 0; f < w.num_files(); ++f) {
+        ASSERT_EQ(ps.planned[f].size(), ref.planned[f].size())
+            << "seed " << seed << " file " << f;
+        for (std::size_t i = 0; i < ps.planned[f].size(); ++i) {
+          EXPECT_EQ(ps.planned[f][i].first, ref.planned[f][i].first)
+              << "seed " << seed << " file " << f;
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(ps.planned[f][i].second),
+                    std::bit_cast<std::uint64_t>(ref.planned[f][i].second))
+              << "seed " << seed << " file " << f;
+        }
+        for (wl::NodeId n = 0; n < c.num_compute_nodes; ++n)
+          ASSERT_EQ(ps.on_node(f, n), ref.on_node(f, n))
+              << "seed " << seed << " file " << f << " node " << n;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace bsio::sched
